@@ -591,12 +591,8 @@ let ablation_rounds () =
 (* One MD5 per (app, configuration) over the OAT text segment. The sizes in
    bench/baseline.json prove nothing about *content*; this is the
    byte-for-byte witness used when refactoring the detection hot path.
-
-   Pinned to the MD5 backend explicitly (not the CALIBRO_HASH dispatcher):
-   the committed bench/digests.txt snapshot must be the same bytes under
-   every hash backend, or the digest-parity CI job could not diff the two
-   runs against one snapshot. Produced OAT bytes never depend on hash
-   values, so any divergence here is a real miscompile. *)
+   Produced OAT bytes never depend on hash values, so any divergence from
+   the committed bench/digests.txt is a real miscompile. *)
 let digests () =
   print_endline "== OAT text digests: evaluation apps x oracle matrix ==";
   List.iter
@@ -612,7 +608,7 @@ let digests () =
           Printf.printf "  %-10s %-24s %s\n%!"
             apk.Calibro_dex.Dex_ir.apk_name c.Config.name
             (Calibro_chash.Chash.to_hex
-               (Calibro_chash.Chash.Md5.bytes
+               (Calibro_chash.Chash.bytes
                   b.Pipeline.b_oat.Calibro_oat.Oat_file.text)))
         (Config.baseline :: Config.matrix ~hot_methods:hot ()))
     Apps.all
@@ -620,7 +616,7 @@ let digests () =
 (* ---- The detection micro-benchmark (bench detect) -------------------------- *)
 
 (* Compiled methods + candidate indices of the largest evaluation app
-   (Kuaishou), exactly as Ltbo.run derives them: detection throughput here
+   (Kuaishou), from Ltbo.candidates as in Ltbo.run: detection throughput here
    is what Table 6 says must stay cheap enough to live inside dex2oat. *)
 let detect_setup () =
   let a = Appgen.generate Apps.kuaishou in
@@ -639,14 +635,7 @@ let detect_setup () =
           ~slot_of_method:(Hashtbl.find slots) g)
       methods
   in
-  let marr = Array.of_list compiled in
-  let candidates =
-    List.init (Array.length marr) Fun.id
-    |> List.filter (fun i ->
-           Calibro_codegen.Meta.outlinable
-             marr.(i).Calibro_codegen.Compiled_method.meta)
-  in
-  (marr, candidates)
+  (Array.of_list compiled, Ltbo.candidates compiled)
 
 let best_of_3 f =
   let best = ref infinity in
@@ -753,8 +742,7 @@ let incr_measure () : incr_result =
         let warm_s = Clock.since_s t0 in
         let cold = Pipeline.build ~cache:None ~config apk' in
         let dg (b : Pipeline.build) =
-          (* Equality-only (never printed), so the dispatched backend —
-             the fast hash by default — is fine here. *)
+          (* Compared for equality only: the cold twin's text digest. *)
           Calibro_chash.Chash.bytes b.Pipeline.b_oat.Calibro_oat.Oat_file.text
         in
         { i_seed = seed;

@@ -18,10 +18,12 @@ module Obs = Calibro_obs.Obs
 module Json = Calibro_obs.Json
 module Chash = Calibro_chash.Chash
 
-(* v2: content hashing moved from MD5 to the CALIBRO_HASH-selected Chash
-   backend. The version is part of every key's salt, so entries written
-   under one version (or hash backend) are simply unreachable under
-   another — no mixed-digest reads, no format sniffing. *)
+(* The version is part of every key's salt, so entries written under
+   another version are simply unreachable — no mixed-digest reads, no
+   format sniffing. v2 entries were keyed by a since-deleted fast hash or
+   by MD5: the MD5-keyed ones (written under the old MD5 backend) stay
+   valid, since keys are still MD5, while the fast-keyed ones can never
+   be looked up again. *)
 let version = 2
 let salt = Printf.sprintf "calibro-cache-v%d" version
 let schema = 1

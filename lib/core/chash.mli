@@ -1,94 +1,41 @@
-(** Content hashing behind one [Digest]-shaped signature.
+(** Content hashing: stdlib [Digest] (MD5), the tree's one hash regime.
 
-    Every content-addressed structure in the tree — compilation-cache
-    keys, canonical LTBO token digests, router shard affinity — needs a
-    128-bit value that is uniform and stable, not cryptographic: the
-    inputs are trusted build artifacts, and the hash sits on the serving
-    hot path (ShareJIT's lesson: content addressing only pays when the
-    hash is far cheaper than the work it deduplicates). The default
-    backend is a two-lane splitmix64 sponge (full 64-bit finalizer
-    avalanche per 8-byte word, cross-lane mix at the end); MD5 is kept as
-    a byte-compatible reference backend, selected by [CALIBRO_HASH=md5],
-    so CI can prove the swap changes no output bytes.
-
-    Values are 16-byte binary strings, like [Stdlib.Digest.t]. The two
-    backends produce different values for the same input by design; all
-    in-tree uses only ever compare hashes from the same backend (keys,
-    memo digests, ring points), and the disk cache salts its version so
-    entries written under one backend are unreachable under the other. *)
+    Hash values only name things — compilation-cache keys, LTBO
+    detection-memo groups, router shard affinity, the store dictionary
+    and the shelving policy — and no produced OAT byte depends on one.
+    The inputs are trusted build artifacts, so the hash needs to be
+    uniform, stable and far cheaper than the work it deduplicates
+    (ShareJIT's lesson), not cryptographic. *)
 
 type t = string
-(** 16 bytes, binary. *)
+(** 16 bytes, binary (a [Digest.t]). *)
 
-type bigstring =
-  (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+val string : string -> t
+val bytes : bytes -> t
 
-(** The streaming interface: feed any mix of string/bytes/Bigarray slices
-    and 63-bit ints; the result depends only on the concatenated byte
-    stream, never on feeding granularity or slice offsets. *)
-module type S = sig
-  type state
-
-  val init : unit -> state
-
-  val feed_substring : state -> string -> off:int -> len:int -> unit
-  val feed_string : state -> string -> unit
-  val feed_subbytes : state -> bytes -> off:int -> len:int -> unit
-  val feed_bytes : state -> bytes -> unit
-
-  val feed_bigarray : state -> bigstring -> off:int -> len:int -> unit
-  (** Off-heap input (an {!Calibro_oat.Arena} window); no copy onto the
-      OCaml heap on the fast backend. *)
-
-  val feed_int : state -> int -> unit
-  (** Feeds the int as 8 little-endian bytes — the allocation-free way to
-      hash token runs ({!Seq_map.digest}) without printing them. *)
-
-  val finalize : state -> t
-
-  val string : string -> t
-  val bytes : bytes -> t
-  val substring : string -> off:int -> len:int -> t
-  val subbytes : bytes -> off:int -> len:int -> t
-  val bigarray : bigstring -> off:int -> len:int -> t
-end
-
-module Fast : S
-(** The splitmix64 sponge. *)
-
-module Md5 : S
-(** Reference backend over [Stdlib.Digest] (MD5). Streaming accumulates
-    into a buffer and digests at [finalize] — correct, not fast; it
-    exists for parity checks, not production traffic. *)
-
-val backend : unit -> [ `Fast | `Md5 ]
-(** [`Md5] iff the environment variable [CALIBRO_HASH] is ["md5"] (read
-    once, at first use). *)
-
-val backend_name : unit -> string
-
-(** {2 Dispatching interface}
-
-    The functions below run on the backend selected by [CALIBRO_HASH].
-    This is what production call sites use; tests and the digest
-    snapshot pin {!Fast} or {!Md5} explicitly. *)
+(** {2 Streaming}: the digest of the concatenation of everything fed. *)
 
 type state
 
 val init : unit -> state
-val feed_substring : state -> string -> off:int -> len:int -> unit
 val feed_string : state -> string -> unit
-val feed_subbytes : state -> bytes -> off:int -> len:int -> unit
-val feed_bytes : state -> bytes -> unit
-val feed_bigarray : state -> bigstring -> off:int -> len:int -> unit
+
 val feed_int : state -> int -> unit
+(** Feeds the int as 8 little-endian bytes — how token runs
+    ({!Seq_map.digest}) are hashed without printing them. *)
+
 val finalize : state -> t
-val string : string -> t
-val bytes : bytes -> t
-val substring : string -> off:int -> len:int -> t
-val subbytes : bytes -> off:int -> len:int -> t
-val bigarray : bigstring -> off:int -> len:int -> t
+(** Pure over the state: feeding may continue afterwards. *)
 
 val to_hex : t -> string
-(** Lowercase hex (32 chars for a 16-byte value) — filesystem- and
-    JSON-safe, same shape as [Digest.to_hex]. *)
+(** Lowercase hex, 32 chars. Raises [Invalid_argument] unless [t] is 16
+    bytes. *)
+
+module Md5 : sig
+  val bytes : bytes -> t
+end
+(** Same as {!bytes}; kept under this name because [perfbench/pb.ml]
+    calls it. *)
+
+val backend_name : unit -> string
+(** Always ["md5"]; kept because [perfbench/pb.ml] records it. *)

@@ -553,19 +553,19 @@ let run_with ?(sym_base = outlined_sym_base)
   in
   { methods = methods'; outlined = List.rev !outlined; stats }
 
+let candidates (methods : Compiled_method.t list) =
+  List.concat
+    (List.mapi
+       (fun i (cm : Compiled_method.t) ->
+         if Meta.outlinable cm.meta then [ i ] else [])
+       methods)
+
 (* Single global suffix tree (the non-PlOpti configuration). *)
 let run ?cache ?digest_of ?salt ?ns ?(options = default_options) ?sym_base
     (methods : Compiled_method.t list) : result =
   let marr = Array.of_list methods in
-  let candidates =
-    List.filteri
-      (fun _ _ -> true)
-      (List.mapi (fun i cm -> (i, cm)) methods)
-    |> List.filter_map (fun (i, cm) ->
-           if Meta.outlinable cm.Compiled_method.meta then Some i else None)
-  in
   let detect_results =
-    [ detect ?cache ?digest_of ?salt ?ns ~options marr candidates ]
+    [ detect ?cache ?digest_of ?salt ?ns ~options marr (candidates methods) ]
   in
   run_with ?sym_base ~detect_results methods
 

@@ -104,6 +104,10 @@ val run_with :
 (** Apply a set of detection results: allocate symbols (identical bodies
     are deduplicated), rewrite methods, merge statistics. *)
 
+val candidates : Compiled_method.t list -> int list
+(** Indices of the outlinable methods, ascending — the input both
+    {!run} and {!Parallel.run} detect over. *)
+
 val run :
   ?cache:Calibro_cache.Cache.t ->
   ?digest_of:(int -> string option) ->

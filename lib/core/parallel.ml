@@ -127,12 +127,7 @@ let run ?cache ?digest_of ?salt ?ns ?(options = Ltbo.default_options)
     ?(seed = 42)
     ~k (methods : Compiled_method.t list) : Ltbo.result =
   let marr = Array.of_list methods in
-  let candidates =
-    List.mapi (fun i (cm : Compiled_method.t) -> (i, cm)) methods
-    |> List.filter_map (fun (i, cm) ->
-           if Meta.outlinable cm.Compiled_method.meta then Some i else None)
-  in
-  let groups = partition ~k ~seed candidates in
+  let groups = partition ~k ~seed (Ltbo.candidates methods) in
   let detect_results =
     detect_parallel ?cache ?digest_of ?salt ?ns ~options marr groups
   in

@@ -10,10 +10,8 @@
    placing it locally (see {!Calibro_oat.Linker.dict}), exactly like a
    prelinked system library.
 
-   The image digest is computed with the stdlib MD5 ([Digest]), never
-   {!Calibro_chash.Chash}: the digest names the dictionary in OAT
-   containers and on the wire, so it must not change with the
-   CALIBRO_HASH backend selection. *)
+   The image digest is {!Calibro_chash.Chash} (MD5) hex: it names the
+   dictionary in OAT containers and on the wire. *)
 
 open Calibro_core
 module Oat_file = Calibro_oat.Oat_file
@@ -21,6 +19,7 @@ module Linker = Calibro_oat.Linker
 module Arena = Calibro_oat.Arena
 module Abi = Calibro_codegen.Abi
 module Obs = Calibro_obs.Obs
+module Chash = Calibro_chash.Chash
 
 type entry = {
   e_offset : int;  (** byte offset of the body in the image *)
@@ -45,7 +44,7 @@ let n_bodies t = List.length t.dt_entries
 
 let name_prefix = "calibro-dict:"
 
-let image_digest image = Digest.to_hex (Digest.bytes image)
+let image_digest image = Chash.to_hex (Chash.bytes image)
 
 (* Fleet-wide bytes saved by sharing [body] across [apps] copies: the
    store ships one body instead of [apps], minus nothing locally (the

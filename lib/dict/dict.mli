@@ -11,9 +11,8 @@
     ({!Calibro_oat.Oat_file.t.dict_digest}) and executes only against
     that exact image.
 
-    Digests are stdlib MD5, deliberately independent of the
-    [CALIBRO_HASH] backend: they name the dictionary inside OAT bytes
-    and on the wire, where backend choice must not change output. *)
+    Digests are {!Calibro_chash.Chash} (MD5) hex: they name the
+    dictionary inside OAT bytes and on the wire. *)
 
 type entry = {
   e_offset : int;  (** byte offset of the body in the image *)

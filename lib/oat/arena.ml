@@ -17,7 +17,6 @@ let create ?(capacity = 64 * 1024) () =
 let length a = a.len
 let capacity a = Bigarray.Array1.dim a.buf
 let clear a = a.len <- 0
-let buffer a = a.buf
 
 let grow a needed =
   let cap = capacity a in

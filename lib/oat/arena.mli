@@ -14,9 +14,6 @@
     concurrently), so reuse is an optimization, never a correctness
     hazard. *)
 
-type bigstring =
-  (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
-
 type t
 
 val create : ?capacity:int -> unit -> t
@@ -29,12 +26,6 @@ val capacity : t -> int
 
 val clear : t -> unit
 (** Reset the cursor to 0; keeps the backing store. *)
-
-val buffer : t -> bigstring
-(** The raw backing store — valid bytes are [0, length); the rest is
-    garbage. Invalidated by the next growing append. Exposed so content
-    hashing ({!Calibro_chash.Chash.feed_bigarray}) can read the window
-    without copying. *)
 
 (** {2 Appending} *)
 
@@ -84,7 +75,6 @@ val write_fd : ?write:(Unix.file_descr -> bytes -> int -> int -> int) ->
 val with_scratch : (t -> 'a) -> 'a
 (** Run [f] with this domain's scratch arena, cleared. If the scratch is
     busy (re-entrant call, or another thread of this domain holds it), a
-    fresh arena is used instead. The arena — including its backing store
-    and anything [buffer] returned — must not escape [f]. After [f], an
+    fresh arena is used instead. The arena must not escape [f]. After [f], an
     oversized backing store is trimmed so one huge build does not pin
     its peak footprint in every domain forever. *)

@@ -16,7 +16,7 @@ let total (t : t) = List.fold_left (fun a s -> a + s.s_cycles) 0 t
 
 (* Canonical sample order: hottest first, ties broken by method name so the
    result never depends on hash-table iteration order (the PGO drift loop
-   compares hot sets across processes and hash backends). *)
+   compares hot sets across processes). *)
 let compare_sample a b =
   match compare b.s_cycles a.s_cycles with
   | 0 ->

@@ -6,6 +6,7 @@ module Obs = Calibro_obs.Obs
 module Clock = Calibro_obs.Clock
 module Json = Calibro_obs.Json
 module Pgo = Calibro_pgo.Pgo
+module Chash = Calibro_chash.Chash
 
 type client_job = {
   j_id : int;
@@ -260,9 +261,7 @@ let handle_client ~cache ~dict ~pgo (job : client_job) =
       match pgo with
       | None -> None
       | Some m ->
-        let digest =
-          Calibro_chash.Chash.string job.j_request.Protocol.rq_dexsim
-        in
+        let digest = Chash.string job.j_request.Protocol.rq_dexsim in
         Pgo.Manager.refreshed m ~digest ~key:(key_of_request job.j_request)
     in
     match refreshed with
@@ -300,7 +299,7 @@ let handle_client ~cache ~dict ~pgo (job : client_job) =
       | Ok (oat, _, hot), Some m ->
         let rq = job.j_request in
         Pgo.Manager.note_build m
-          ~digest:(Calibro_chash.Chash.string rq.Protocol.rq_dexsim)
+          ~digest:(Chash.string rq.Protocol.rq_dexsim)
           ~app:oat.Calibro_oat.Oat_file.apk_name
           ~key:(key_of_request rq) ~hot
       | _ -> ());
@@ -329,7 +328,7 @@ let handle_relink ~cache ~dict ~pgo (job : relink_job) =
   | None -> ()
   | Some m ->
     Obs.span ~cat:"server" "server.relink"
-      ~args:(fun () -> [ ("app", Json.Str job.r_digest) ])
+      ~args:(fun () -> [ ("app", Json.Str (Chash.to_hex job.r_digest)) ])
     @@ fun () ->
     let hits0 = cache_hits_now () in
     (match

@@ -29,9 +29,8 @@ type plan = {
 let compare_ref (a : method_ref) (b : method_ref) =
   compare (a.class_name, a.method_name) (b.class_name, b.method_name)
 
-(* MD5 on purpose (like the dictionary digest): the policy digest is part
-   of the served-bytes contract across processes, so it must not depend on
-   the CALIBRO_HASH backend selection. *)
+(* The policy digest is part of the served-bytes contract across
+   processes, like the dictionary digest. *)
 let digest ~coverage ~warm =
   let b = Buffer.create 256 in
   Buffer.add_string b "calibro-shelve-v1\n";
@@ -43,7 +42,7 @@ let digest ~coverage ~warm =
       Buffer.add_string b m.method_name;
       Buffer.add_char b '\n')
     warm;
-  Digest.to_hex (Digest.string (Buffer.contents b))
+  Calibro_chash.Chash.(to_hex (string (Buffer.contents b)))
 
 let plan ~coverage ~warm =
   if not (coverage >= 0.0 && coverage <= 1.0) then (* also rejects nan *)

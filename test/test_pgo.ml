@@ -88,9 +88,9 @@ let hot_set_coverage_monotone =
 let hot_set_permutation_invariant =
   (* The canonical order (cycles desc, then names) makes the cut
      deterministic: shuffling the sample list cannot change the hot set.
-     This is the property that keeps pgo-built OATs byte-identical under
-     both CALIBRO_HASH backends — nothing in the selection may depend on
-     hash-table iteration order. *)
+     This is the property that keeps pgo-built OATs byte-identical
+     across runs — nothing in the selection may depend on hash-table
+     iteration order. *)
   QCheck.Test.make ~name:"hot_set ignores sample order" ~count:500
     QCheck.(pair arb_profile (int_bound 1_000_000))
     (fun (p, seed) ->

@@ -1832,7 +1832,62 @@ let pgo_tests =
                  | _ -> "a non-build response")
             | Error m -> Alcotest.failf "drain transport: %s" m)
         (* with_server's finally completes the drain: reaching here at
-           all is the no-hang assertion *)) ]
+           all is the no-hang assertion *));
+    Alcotest.test_case "a traced relink exports valid UTF-8 JSON" `Quick
+      (fun () ->
+        (* The server.relink span names the app in its args; the raw
+           16-byte digest there made every --trace of a re-linking run
+           invalid UTF-8. *)
+        let module Obs = Calibro_obs.Obs in
+        let module Json = Calibro_obs.Json in
+        let dexsim, prof_old, prof_new = Lazy.force drift_fixture in
+        let digest = Chash.string dexsim in
+        let rq = request ~profile:prof_old ~config:pgo_config dexsim in
+        let pgo =
+          Pgo.Manager.create
+            ~config:{ Pgo.default_config with Pgo.hysteresis = 1 } ()
+        in
+        Obs.reset ();
+        with_server ~pgo (fun t ->
+            let ep = Server.endpoint t in
+            let old = oat_of "prime" (Client.request ~endpoint:ep rq) in
+            (match
+               Client.report ~endpoint:ep
+                 { Protocol.pr_app = digest; pr_profile = prof_new }
+             with
+             | Ok (_, relink) ->
+               Alcotest.(check bool) "drifted report schedules" true relink
+             | Error m -> Alcotest.failf "report: %s" m);
+            let rec await n =
+              if n = 0 then Alcotest.fail "relink never landed"
+              else if oat_of "build" (Client.request ~endpoint:ep rq) = old
+              then begin
+                Thread.delay 0.05;
+                await (n - 1)
+              end
+            in
+            await 100);
+        (* snapshot after with_server joined the worker domains *)
+        let trace = Json.to_string (Obs.trace_json ()) in
+        Alcotest.(check bool) "trace is valid UTF-8" true
+          (String.is_valid_utf_8 trace);
+        match Json.parse trace with
+        | Error e -> Alcotest.failf "exported trace does not parse: %s" e
+        | Ok doc ->
+          let apps =
+            List.filter_map
+              (fun e ->
+                if Option.bind (Json.member "name" e) Json.get_str
+                   = Some "server.relink"
+                then
+                  Option.bind (Json.member "args" e) (fun a ->
+                      Option.bind (Json.member "app" a) Json.get_str)
+                else None)
+              (Option.get
+                 (Option.bind (Json.member "traceEvents" doc) Json.get_list))
+          in
+          Alcotest.(check (list string)) "one relink span, hex app digest"
+            [ Chash.to_hex digest ] apps) ]
 
 let suite =
   codec_tests @ transport_tests @ ring_tests @ queue_tests @ serve_tests
