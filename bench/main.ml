@@ -7,12 +7,11 @@
    FILE` writes a Chrome trace_event JSON (open in about://tracing or
    Perfetto), `--metrics FILE` the flat metrics JSON CI consumes.
 
-   The CI perf gate: `baseline` re-measures the six evaluation apps and
-   writes bench/baseline.json (committed); `gate` re-measures and fails
-   (exit 1) if any app's text-size reduction regressed against the
-   committed baseline, the total build time exceeds the committed
-   envelope by more than 25%, or detection throughput falls more than
-   25% below the committed floor. *)
+   The CI perf gate is the row table `Harness.gate_rows`, folded by
+   bench/gate.ml: `baseline` measures and writes every row's bound to
+   bench/baseline.json (committed); `gate` re-measures and fails (exit 1)
+   on any row outside its committed bound, any baseline key no row
+   reads, or any of the measurement modules' correctness failures. *)
 
 module Obs = Calibro_obs.Obs
 
@@ -50,11 +49,13 @@ let usage () =
     \                   builds, byte divergence in the fleet, or a broken\n\
     \                   shelved re-link\n\
     \  digest           per-app, per-config MD5 of the OAT text segment\n\
-    \  baseline         measure and write the CI perf baseline\n\
-    \                   (--out, default bench/baseline.json)\n\
-    \  gate             compare a fresh measurement against the committed\n\
-    \                   baseline (--baseline, default bench/baseline.json);\n\
-    \                   exit 1 on regression\n\
+    \  baseline         measure and write every gate row's bound (--out,\n\
+    \                   default bench/baseline.json); exit 1, writing\n\
+    \                   nothing, while any correctness check fails\n\
+    \  gate             hold a fresh measurement against every row of the\n\
+    \                   committed baseline (--baseline, default\n\
+    \                   bench/baseline.json) and every correctness check;\n\
+    \                   exit 1 on any failure\n\
      flags:\n\
     \  --trace FILE     write a Chrome trace_event JSON of the run\n\
     \  --metrics FILE   write the flat metrics JSON (counters, gauges,\n\
@@ -100,17 +101,40 @@ let () =
      that measure per-app sizes. *)
   let bench_section = ref None in
   let exit_code = ref 0 in
+  let check failures =
+    List.iter (Printf.printf "FAIL: %s\n") failures;
+    if failures <> [] then exit_code := 1
+  in
+  (* `bench <x>`: measure, print, exit 1 on any of the module's failures *)
+  let bench title measure report failures =
+    print_endline ("== bench " ^ title ^ " ==");
+    let r = measure () in
+    report r;
+    check (failures r)
+  in
   (match which with
    | "fig2" -> Harness.figure2 ()
    | "crosscheck" -> Harness.crosscheck ()
    | "digest" -> Harness.digests ()
    | "detect" -> Harness.detect_bench ()
-   | "incr" -> if not (Harness.incr_bench ()) then exit_code := 1
-   | "serve" -> if not (Serve.bench ()) then exit_code := 1
-   | "fleet" -> if not (Serve.fleet_bench ()) then exit_code := 1
-   | "store" -> if not (Store.bench ()) then exit_code := 1
-   | "pgo" -> if not (Pgo_bench.bench ()) then exit_code := 1
-   | "train" -> if not (Train_bench.bench ()) then exit_code := 1
+   | "incr" ->
+     bench "incr: incremental rebuild after a one-method edit (Kuaishou)"
+       Harness.incr_measure Harness.incr_report Harness.incr_failures
+   | "serve" ->
+     bench "serve: concurrent builds through calibrod's service path"
+       Serve.measure Serve.report Serve.failures
+   | "fleet" ->
+     bench "fleet: 3 calibrod shards behind the consistent-hash router"
+       Serve.fleet_measure Serve.fleet_report Serve.fleet_failures
+   | "store" ->
+     bench "store: shared dictionary vs per-app outlining (6 apps)"
+       Store.measure Store.report Store.failures
+   | "pgo" ->
+     bench "pgo: drift detection and incremental re-link through calibrod"
+       Pgo_bench.measure Pgo_bench.report Pgo_bench.failures
+   | "train" ->
+     bench "train: shelve x outline frontier + release-train replay"
+       Train_bench.measure Train_bench.report Train_bench.failures
    | "table2" -> Harness.table2 ()
    | "table3" -> Harness.table3 ()
    | "bechamel" -> Micro.benchmark ()
@@ -120,17 +144,15 @@ let () =
      Harness.ablation_cto_ltbo ();
      Harness.ablation_rounds ()
    | "baseline" ->
-     Harness.write_baseline
-       (match !out with Some f -> f | None -> "bench/baseline.json")
+     check
+       (Harness.write_baseline
+          (match !out with Some f -> f | None -> "bench/baseline.json"))
    | "gate" ->
-     print_endline "== CI perf gate: text sizes + build-time envelope ==";
+     print_endline "== CI perf gate: baseline rows + correctness checks ==";
      let section, failures = Harness.gate ~baseline_path:!baseline in
      bench_section := Some section;
-     if failures <> [] then begin
-       List.iter (fun m -> Printf.printf "GATE FAIL: %s\n" m) failures;
-       exit_code := 1
-     end
-     else print_endline "gate ok"
+     check failures;
+     if failures = [] then print_endline "gate ok"
    | which ->
      let evals = List.map Harness.evaluate_app Calibro_workload.Apps.all in
      bench_section := Some (Harness.bench_json evals);

@@ -72,8 +72,37 @@ let relink_degradation_pct r =
   *. float_of_int (r.pg_relinked_cycles - r.pg_fresh_cycles)
   /. float_of_int r.pg_fresh_cycles
 
-let ok r =
-  r.pg_relinks = 1 && r.pg_byte_ok && r.pg_flip_monotone && r.pg_errors = 0
+(* The loop's contract, for [label]'s run: exactly one re-link, the
+   refreshed OAT byte-identical to the in-process drifted build, the
+   served bytes flipping exactly once, and no request errors. *)
+let loop_failures label r =
+  Gate.violated
+    [ (r.pg_relinks = 1,
+       Printf.sprintf "%s: drift scheduled %d re-links (want exactly 1)" label
+         r.pg_relinks);
+      (r.pg_byte_ok,
+       label ^ ": the re-linked OAT is not byte-identical to the in-process \
+                drifted build");
+      (r.pg_flip_monotone,
+       label ^ ": the served bytes did not flip exactly once (old -> new)");
+      (r.pg_errors = 0,
+       Printf.sprintf "%s: %d request errors during the drift run" label
+         r.pg_errors) ]
+
+(* Beyond the loop: the drift must cost cycles on the stale OAT (or the
+   bench measures nothing), and the re-link must win them back to within
+   the Table 7 envelope. *)
+let failures r =
+  loop_failures "pgo" r
+  @ Gate.violated
+      [ (stale_degradation_pct r > 0.,
+         "pgo: the drifted workload costs nothing on the stale OAT — the \
+          bench is measuring no real drift");
+        (relink_degradation_pct r <= table7_envelope_pct,
+         Printf.sprintf
+           "pgo: re-linked degradation +%.2f%% exceeds the Table 7 envelope \
+            %.1f%%"
+           (relink_degradation_pct r) table7_envelope_pct) ]
 
 (* The two usage regimes: one script, opposite halves hot (x16). A
    binary split displaces far more execution mass than a ramp — the
@@ -259,16 +288,6 @@ let report r =
     "  degradation vs fresh: stale +%.2f%%, re-linked +%.2f%% (Table 7 \
      envelope %.1f%%)\n%!"
     (stale_degradation_pct r) (relink_degradation_pct r) table7_envelope_pct
-
-(* `bench pgo`: print the measurement; false (-> exit 1 in main) unless
-   the loop re-linked exactly once, byte-faithfully and monotonically,
-   within the Table 7 envelope. *)
-let bench () : bool =
-  print_endline
-    "== bench pgo: drift detection and incremental re-link through calibrod ==";
-  let r = measure () in
-  report r;
-  ok r && relink_degradation_pct r <= table7_envelope_pct
 
 let section r =
   Json.Obj

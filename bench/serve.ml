@@ -168,14 +168,10 @@ let report r =
     (if r.sv_byte_ok then "identical to in-process builds" else "DIFFER");
   Printf.printf "  gc alloc %.0f bytes/served build\n%!" r.sv_alloc_per_build
 
-(* `bench serve`: print the measurement; false (-> exit 1 in main) unless
-   every served OAT matched its in-process twin. *)
-let bench () : bool =
-  print_endline
-    "== bench serve: concurrent builds through calibrod's service path ==";
-  let r = measure () in
-  report r;
-  r.sv_byte_ok
+let failures r =
+  Gate.violated
+    [ (r.sv_byte_ok,
+       "serve: served OATs are not byte-identical to in-process builds") ]
 
 let section r =
   Json.Obj
@@ -208,8 +204,6 @@ type fleet_result = {
   fl_byte_ok : bool;
   fl_failovers : int;  (* sum of router.shard<i>.failovers *)
 }
-
-let fleet_ok r = r.fl_byte_ok && r.fl_failovers > 0
 
 let fleet_measure () : fleet_result =
   let slots, expected = workload () in
@@ -290,15 +284,15 @@ let fleet_report r =
     r.fl_throughput r.fl_p95_s r.fl_failovers
     (if r.fl_byte_ok then "identical to in-process builds" else "DIFFER")
 
-(* `bench fleet`: print the measurement; false (-> exit 1 in main) unless
-   every request was answered byte-identically AND the mid-run drain
-   actually exercised a failover. *)
-let fleet_bench () : bool =
-  print_endline
-    "== bench fleet: 3 calibrod shards behind the consistent-hash router ==";
-  let r = fleet_measure () in
-  fleet_report r;
-  fleet_ok r
+(* The mid-run drain must have exercised a failover, or the run proved
+   nothing about failure handling. *)
+let fleet_failures r =
+  Gate.violated
+    [ (r.fl_byte_ok,
+       "fleet: served OATs are not byte-identical to in-process builds \
+        (under a mid-run shard drain)");
+      (r.fl_failovers > 0, "fleet: mid-run shard drain exercised no failover")
+    ]
 
 let fleet_section r =
   Json.Obj

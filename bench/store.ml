@@ -43,9 +43,6 @@ type result = {
   so_digest : string;
 }
 
-let vm_ok r = List.for_all (fun a -> a.sa_vm_ok) r.so_apps
-let ok r = r.so_saved > 0 && vm_ok r
-
 let measure () : result =
   let plains =
     List.map
@@ -98,15 +95,17 @@ let report r =
     "  fleet: %d per-app bytes -> %d bound + %d dictionary = %d saved\n%!"
     r.so_plain_total r.so_bound_total r.so_dict_bytes r.so_saved
 
-(* `bench store`: print the measurement; false (-> exit 1 in main) unless
-   sharing saves bytes net of the dictionary image AND every dict-bound
-   app executed byte-faithfully. *)
-let bench () : bool =
-  print_endline
-    "== bench store: shared dictionary vs per-app outlining (6 apps) ==";
-  let r = measure () in
-  report r;
-  ok r
+let failures r =
+  Gate.violated
+    (List.map
+       (fun a ->
+         ( a.sa_vm_ok,
+           Printf.sprintf "store: dict-bound %s diverged from its baseline in \
+                           the VM" a.sa_name ))
+       r.so_apps
+     @ [ ( r.so_saved > 0,
+           Printf.sprintf "store: the shared dictionary saves no bytes over \
+                           per-app outlining (%d)" r.so_saved ) ])
 
 let section r =
   Json.Obj
@@ -115,4 +114,4 @@ let section r =
       ("plain_total", Json.Int r.so_plain_total);
       ("bound_total", Json.Int r.so_bound_total);
       ("saved_bytes", Json.Int r.so_saved);
-      ("vm_ok", Json.Bool (vm_ok r)) ]
+      ("vm_ok", Json.Bool (List.for_all (fun a -> a.sa_vm_ok) r.so_apps)) ]

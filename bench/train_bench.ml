@@ -102,13 +102,29 @@ type result = {
   tr_pgo : Pgo_bench.result;  (* the drift loop, shelve-enabled *)
 }
 
-let vm_ok r = List.for_all (fun a -> a.ta_vm_ok && a.ta_policy_ok) r.tr_apps
-
-let ok r =
-  vm_ok r && r.tr_text_saved > 0 && r.tr_store_saved_shelved > 0
-  && r.tr_fleet.tf_byte_ok
-  && r.tr_fleet.tf_hit_rate > 0.0
-  && Pgo_bench.ok r.tr_pgo
+(* Shelving may only trade cycles for bytes, never semantics; both wins
+   must be real; the fleet must serve the exact in-process bytes; and the
+   shelve-enabled drift loop keeps the PGO loop's contract. *)
+let failures r =
+  Gate.violated
+    (List.map
+       (fun a ->
+         ( a.ta_vm_ok && a.ta_policy_ok,
+           Printf.sprintf
+             "train: shelved %s diverged from its unshelved build in the VM"
+             a.ta_name ))
+       r.tr_apps
+     @ [ (r.tr_text_saved > 0,
+          "train: shelve x outline saves no text over outline alone");
+         (r.tr_store_saved_shelved > 0,
+          "train: the shared dictionary saves no bytes over the shelved warm \
+           sets");
+         (r.tr_fleet.tf_byte_ok,
+          "train: the fleet served bytes differing from in-process shelved \
+           builds");
+         (r.tr_fleet.tf_hit_rate > 0.0,
+          "train: the release-train replay never hit the fleet cache") ])
+  @ Pgo_bench.loop_failures "train: shelved pgo" r.tr_pgo
 
 let run_script ?dict oat script =
   let t = Interp.load ?dict oat in
@@ -379,15 +395,6 @@ let report r =
     (if r.tr_pgo.Pgo_bench.pg_flip_monotone then "monotone" else "BROKEN")
     (if r.tr_pgo.Pgo_bench.pg_byte_ok then "identical" else "DIFFER")
 
-(* `bench train`: print the measurement; false (-> exit 1 in main) unless
-   every unconditional contract held. *)
-let bench () : bool =
-  print_endline
-    "== bench train: shelve x outline frontier + release-train replay ==";
-  let r = measure () in
-  report r;
-  ok r
-
 let section r =
   Json.Obj
     [ ( "apps",
@@ -414,4 +421,4 @@ let section r =
       ("pgo_shelved_relinks", Json.Int r.tr_pgo.Pgo_bench.pg_relinks);
       ( "pgo_shelved_relink_cache_hits",
         Json.Int r.tr_pgo.Pgo_bench.pg_relink_cache_hits );
-      ("ok", Json.Bool (ok r)) ]
+      ("ok", Json.Bool (failures r = [])) ]

@@ -24,4 +24,5 @@ let () =
       ("chash", Test_chash.suite);
       ("shelve", Test_shelve.suite);
       ("server", Test_server.suite);
-      ("pgo", Test_pgo.suite) ]
+      ("pgo", Test_pgo.suite);
+      ("gate", Test_gate.suite) ]
