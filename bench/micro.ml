@@ -59,7 +59,8 @@ let test_ltbo =
          methods)
   in
   Test.make ~name:"table4/ltbo_run"
-    (Staged.stage (fun () -> ignore (Ltbo.run (Lazy.force compiled))))
+    (Staged.stage (fun () ->
+         ignore (Parallel.run ~k:1 ~rounds:1 (Lazy.force compiled))))
 
 (* Table 5/7: VM execution of one entry method. *)
 let test_vm =

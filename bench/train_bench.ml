@@ -143,7 +143,7 @@ let run_script ?dict oat script =
   t
 
 (* Cache traffic, summed over every namespace the pipeline uses. *)
-let cache_ns = [ "method"; "detect"; "detectdict"; "detectshelve" ]
+let cache_ns = [ "method"; "detect" ]
 
 let cache_counts () =
   List.fold_left

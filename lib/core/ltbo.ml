@@ -230,10 +230,14 @@ let detect_uncached ~options (methods : Compiled_method.t array)
    the group's methods): decisions are selected deterministically and
    expressed against method indices and offsets. That makes whole-group
    results safe to memoize content-addressed: the key folds in the cache
-   salt, the length bounds and each member's canonical token digest
-   ({!Seq_map.digest}), in group order. On an incremental rebuild where one
-   method changed, every group that does not contain it keys identically
-   and skips sequence mapping, tree construction and selection outright.
+   salt, the build's memo scope, the length bounds and each member's
+   canonical token digest ({!Seq_map.digest}), in group order. On an
+   incremental rebuild where one method changed, every group that does not
+   contain it keys identically and skips sequence mapping, tree
+   construction and selection outright.
+
+   The scope (see {!Pipeline.memo_scope}) names what else the results are
+   relative to, so every scope can share the one [detect] namespace.
 
    [digest_of] is the fast path: digests computed at compile time (and
    stored with the cached artifact) for methods under the default
@@ -242,14 +246,7 @@ let detect_uncached ~options (methods : Compiled_method.t array)
 
 let detect_ns = "detect"
 
-(* Dictionary-relative builds memoize under their own namespace, and the
-   dictionary digest is folded into every key as a salt: rotating the
-   store dictionary must miss cleanly (stale results keyed under the old
-   digest are never returned), and must not evict or alias the
-   self-contained results under [detect_ns]. *)
-let detect_dict_ns = "detectdict"
-
-let group_key ?salt ~options ~digest_of (methods : Compiled_method.t array)
+let group_key ~scope ~options ~digest_of (methods : Compiled_method.t array)
     (group : int list) : string =
   let digest_for mi =
     let cm = methods.(mi) in
@@ -267,11 +264,10 @@ let group_key ?salt ~options ~digest_of (methods : Compiled_method.t array)
       Seq_map.method_digest ~eligible cm
   in
   Cache.key
-    ((Cache.salt :: detect_ns
-      :: string_of_int options.min_length
-      :: string_of_int options.max_length
-      :: (match salt with None -> [] | Some s -> [ "dict"; s ]))
-    @ List.concat_map (fun mi -> [ string_of_int mi; digest_for mi ]) group)
+    (Cache.salt :: detect_ns :: scope
+     :: string_of_int options.min_length
+     :: string_of_int options.max_length
+     :: List.concat_map (fun mi -> [ string_of_int mi; digest_for mi ]) group)
 
 let detect_result_to_json ((decisions, st) : decision list * stats) : Json.t =
   Json.Obj
@@ -340,7 +336,7 @@ let detect_result_of_json (j : Json.t) : (decision list * stats) option =
           s_occurrences_replaced = f; s_instructions_saved = g } )
   | _ -> None
 
-let detect ?cache ?digest_of ?salt ?ns ~options
+let detect ?cache ?digest_of ?(scope = "") ~options
     (methods : Compiled_method.t array) (group : int list) :
     decision list * stats =
   Obs.span ~cat:"ltbo" "ltbo.detect"
@@ -349,18 +345,14 @@ let detect ?cache ?digest_of ?salt ?ns ~options
   match cache with
   | None -> detect_uncached ~options methods group
   | Some c -> (
-    let ns =
-      match ns with
-      | Some n -> n
-      | None -> (
-        match salt with None -> detect_ns | Some _ -> detect_dict_ns)
-    in
-    let key = group_key ?salt ~options ~digest_of methods group in
-    match Option.bind (Cache.find_json c ~ns key) detect_result_of_json with
+    let key = group_key ~scope ~options ~digest_of methods group in
+    match
+      Option.bind (Cache.find_json c ~ns:detect_ns key) detect_result_of_json
+    with
     | Some r -> r
     | None ->
       let r = detect_uncached ~options methods group in
-      Cache.add_json c ~ns key (detect_result_to_json r);
+      Cache.add_json c ~ns:detect_ns key (detect_result_to_json r);
       r)
 
 (* ---- Steps 3 & 4: rewriting, patching ---------------------------------- *)
@@ -483,10 +475,8 @@ type result = {
   stats : stats;
 }
 
-(* Run LTBO over [methods]; [groups] partitions the candidate indices (one
-   group = one suffix tree; several groups = the PlOpti configuration,
-   processed by {!Parallel} when asked). [detect_in_parallel] maps [detect]
-   over the groups. *)
+(* Apply the detection results of one LTBO pass over [methods] (one result
+   per suffix tree: one for the global tree, K under PlOpti). *)
 let run_with ?(sym_base = outlined_sym_base)
     ~(detect_results : (decision list * stats) list)
     (methods : Compiled_method.t list) : result =
@@ -559,43 +549,3 @@ let candidates (methods : Compiled_method.t list) =
        (fun i (cm : Compiled_method.t) ->
          if Meta.outlinable cm.meta then [ i ] else [])
        methods)
-
-(* Single global suffix tree (the non-PlOpti configuration). *)
-let run ?cache ?digest_of ?salt ?ns ?(options = default_options) ?sym_base
-    (methods : Compiled_method.t list) : result =
-  let marr = Array.of_list methods in
-  let detect_results =
-    [ detect ?cache ?digest_of ?salt ?ns ~options marr (candidates methods) ]
-  in
-  run_with ?sym_base ~detect_results methods
-
-(* ---- Multi-round outlining ------------------------------------------------
-
-   Re-running outlining over already-outlined code can harvest second-order
-   repeats (sequences that only become identical once their differing parts
-   were outlined away) — the whole-program iteration Chabbi et al. describe
-   for iOS and the paper cites as related work. Outlined functions
-   themselves are never re-outlined (they are not methods and carry no
-   metadata), so rounds converge quickly. *)
-let run_rounds ?cache ?digest_of ?salt ?ns ?(options = default_options) ~rounds
-    (methods : Compiled_method.t list) : result =
-  (* The compile-time digests describe the *input* methods: they are only
-     valid for the first round. Later rounds run over rewritten code, so
-     they re-digest (the cache still skips converged groups). *)
-  let rec go n sym_base methods acc_outlined acc_stats digest_of =
-    if n = 0 then
-      { methods; outlined = List.rev acc_outlined; stats = acc_stats }
-    else begin
-      let r = run ?cache ?digest_of ?salt ?ns ~options ~sym_base methods in
-      if r.stats.s_outlined_functions = 0 then
-        { methods; outlined = List.rev acc_outlined; stats = acc_stats }
-      else
-        go (n - 1)
-          (sym_base + r.stats.s_outlined_functions)
-          r.methods
-          (List.rev_append r.outlined acc_outlined)
-          (merge_stats acc_stats r.stats)
-          None
-    end
-  in
-  go rounds outlined_sym_base methods [] empty_stats digest_of

@@ -49,8 +49,7 @@ val merge_stats : stats -> stats -> stats
 val detect :
   ?cache:Calibro_cache.Cache.t ->
   ?digest_of:(int -> string option) ->
-  ?salt:string ->
-  ?ns:string ->
+  ?scope:string ->
   options:options ->
   Compiled_method.t array ->
   int list ->
@@ -60,22 +59,19 @@ val detect :
     ({!Parallel}).
 
     Detection is also a pure function of the group's token sequences, so
-    with [?cache] whole-group results are memoized under a key built from
-    the cache salt, the length bounds and each member's canonical token
-    digest ({!Seq_map.digest}) — a hit skips sequence mapping, suffix-tree
+    with [?cache] whole-group results are memoized in the cache's
+    ["detect"] namespace under a key built from the cache salt, [?scope],
+    the length bounds and each member's canonical token digest
+    ({!Seq_map.digest}) — a hit skips sequence mapping, suffix-tree
     construction and selection entirely. [?digest_of] supplies digests
     already computed at compile time (global method index -> digest under
     the default eligibility policy); hot methods are always re-digested
     with their actual eligibility.
 
-    [?salt] marks a dictionary-relative build: results move to the
-    ["detectdict"] namespace and the salt (the dictionary digest) is
-    folded into every key, so rotating the store dictionary misses
-    cleanly instead of replaying results memoized under the old one.
-
-    [?ns] overrides the memo namespace entirely; shelve-composed builds
-    pass ["detectshelve"] with the combined policy digest as [?salt], so
-    warm-set-only detection never aliases a full-set result. *)
+    [?scope] (default [""]) names what the results are relative to beyond
+    the tokens: {!Pipeline.build} passes its {!Pipeline.memo_scope}, so a
+    dictionary-bound or shelved build never replays another build's
+    results, and a rotated dictionary or changed plan can only miss. *)
 
 val detect_result_to_json : decision list * stats -> Calibro_obs.Json.t
 val detect_result_of_json :
@@ -105,30 +101,5 @@ val run_with :
     are deduplicated), rewrite methods, merge statistics. *)
 
 val candidates : Compiled_method.t list -> int list
-(** Indices of the outlinable methods, ascending — the input both
-    {!run} and {!Parallel.run} detect over. *)
-
-val run :
-  ?cache:Calibro_cache.Cache.t ->
-  ?digest_of:(int -> string option) ->
-  ?salt:string ->
-  ?ns:string ->
-  ?options:options ->
-  ?sym_base:int ->
-  Compiled_method.t list ->
-  result
-(** Single global suffix tree (the paper's non-PlOpti configuration).
-    [?cache]/[?digest_of]/[?salt] as in {!detect}. *)
-
-val run_rounds :
-  ?cache:Calibro_cache.Cache.t ->
-  ?digest_of:(int -> string option) ->
-  ?salt:string ->
-  ?ns:string ->
-  ?options:options ->
-  rounds:int ->
-  Compiled_method.t list ->
-  result
-(** Iterated whole-program outlining (related-work extension); stops early
-    at a fixpoint. [?digest_of] only applies to the first round (later
-    rounds see rewritten code). *)
+(** Indices of the outlinable methods, ascending — the input the LTBO
+    driver ({!Parallel.run}) detects over in every round. *)

@@ -59,7 +59,7 @@ let partition ~k ~seed (candidates : int list) : int list list =
    keeps the per-tree working set small — the second benefit the paper
    describes). [?max_domains] overrides the cap, mainly so tests can
    exercise the pool on small hosts. *)
-let detect_parallel ?max_domains ?cache ?digest_of ?salt ?ns ~options
+let detect_parallel ?max_domains ?cache ?digest_of ?scope ~options
     (methods : Compiled_method.t array) (groups : int list list) :
     (Ltbo.decision list * Ltbo.stats) list =
   let max_domains =
@@ -74,7 +74,7 @@ let detect_parallel ?max_domains ?cache ?digest_of ?salt ?ns ~options
   let detect_group g =
     Obs.span ~cat:"plopti" "plopti.detect_group"
       ~args:(fun () -> [ ("group_methods", Json.Int (List.length g)) ])
-      (fun () -> Ltbo.detect ?cache ?digest_of ?salt ?ns ~options methods g)
+      (fun () -> Ltbo.detect ?cache ?digest_of ?scope ~options methods g)
   in
   Obs.span ~cat:"plopti" "plopti.detect_parallel"
     ~args:(fun () -> [ ("groups", Json.Int (List.length groups)) ])
@@ -116,19 +116,34 @@ let detect_parallel ?max_domains ?cache ?digest_of ?salt ?ns ~options
     Array.to_list results
     |> List.map (function Some r -> r | None -> assert false)
 
-(* Full PlOpti LTBO: partition into [k] groups, detect in parallel,
-   rewrite. The rewrite and the final link both run through the calling
-   domain's scratch arena ({!Calibro_oat.Arena.with_scratch}): inside a
-   calibrod worker domain one off-heap buffer is reused across every
-   build that domain serves, so PlOpti's per-build byte churn stays off
-   the minor heap (the [arena.*] counters account for reuse, contention
-   and trims). *)
-let run ?cache ?digest_of ?salt ?ns ?(options = Ltbo.default_options)
-    ?(seed = 42)
-    ~k (methods : Compiled_method.t list) : Ltbo.result =
-  let marr = Array.of_list methods in
-  let groups = partition ~k ~seed (Ltbo.candidates methods) in
-  let detect_results =
-    detect_parallel ?cache ?digest_of ?salt ?ns ~options marr groups
+(* The LTBO driver (contract in parallel.mli). Rounds harvest
+   second-order repeats, sequences that only become identical once their
+   differing parts were outlined away: the whole-program iteration Chabbi
+   et al. describe for iOS. Outlined functions carry no metadata, so they
+   are never re-outlined. The rewrite and the final link run through the
+   calling domain's scratch arena ({!Calibro_oat.Arena.with_scratch}). *)
+let run ?cache ?digest_of ?scope ?(options = Ltbo.default_options) ~k
+    ~rounds (methods : Compiled_method.t list) : Ltbo.result =
+  let rec go round sym_base digest_of (acc : Ltbo.result) =
+    let marr = Array.of_list acc.Ltbo.methods in
+    let candidates = Ltbo.candidates acc.Ltbo.methods in
+    let detect_results =
+      if k <= 1 then
+        [ Ltbo.detect ?cache ?digest_of ?scope ~options marr candidates ]
+      else
+        detect_parallel ?cache ?digest_of ?scope ~options marr
+          (partition ~k ~seed:42 candidates)
+    in
+    let r = Ltbo.run_with ~sym_base ~detect_results acc.Ltbo.methods in
+    let n = r.Ltbo.stats.Ltbo.s_outlined_functions in
+    let acc =
+      { r with
+        Ltbo.outlined = acc.Ltbo.outlined @ r.Ltbo.outlined;
+        stats = Ltbo.merge_stats acc.Ltbo.stats r.Ltbo.stats }
+    in
+    (* compile-time digests describe the input methods: round 1 only *)
+    if round >= rounds || n = 0 then acc
+    else go (round + 1) (sym_base + n) None acc
   in
-  Ltbo.run_with ~detect_results methods
+  go 1 Ltbo.outlined_sym_base digest_of
+    { Ltbo.methods; outlined = []; stats = Ltbo.empty_stats }

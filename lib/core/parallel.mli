@@ -14,8 +14,7 @@ val detect_parallel :
   ?max_domains:int ->
   ?cache:Calibro_cache.Cache.t ->
   ?digest_of:(int -> string option) ->
-  ?salt:string ->
-  ?ns:string ->
+  ?scope:string ->
   options:Ltbo.options ->
   Compiled_method.t array ->
   int list list ->
@@ -26,17 +25,25 @@ val detect_parallel :
     pool size defaults to [Domain.recommended_domain_count () - 1] (min 1;
     sequential on a single-core host); [?max_domains] overrides it, mainly
     for tests. Results are in input group order. [?cache]/[?digest_of]/
-    [?salt] memoize per-group detection as in {!Ltbo.detect}; the cache is
+    [?scope] memoize per-group detection as in {!Ltbo.detect}; the cache is
     safe to share across worker domains. *)
 
 val run :
   ?cache:Calibro_cache.Cache.t ->
   ?digest_of:(int -> string option) ->
-  ?salt:string ->
-  ?ns:string ->
+  ?scope:string ->
   ?options:Ltbo.options ->
-  ?seed:int ->
   k:int ->
+  rounds:int ->
   Compiled_method.t list ->
   Ltbo.result
-(** Full PlOpti LTBO over all outlinable methods. *)
+(** The one LTBO driver: up to [rounds] rounds (at least one) of
+    detection over {!Ltbo.candidates} then {!Ltbo.run_with}, stopping
+    early at a round that outlines nothing. [k <= 1] detects with one
+    plain {!Ltbo.detect} over the candidates in ascending order (the
+    paper's global suffix tree; no [plopti.*] span); [k > 1] is PlOpti,
+    {!detect_parallel} over [partition ~k ~seed:42]. Each round after the
+    first re-partitions the rewritten methods and allocates symbols past
+    the previous rounds'. [?cache]/[?scope] as in {!Ltbo.detect};
+    [?digest_of] describes the input methods and applies to round 1
+    only. *)

@@ -80,6 +80,17 @@ let env_cache : Cache.t option Lazy.t =
      | Some dir when String.trim dir <> "" -> Some (Cache.create ~dir ())
      | _ -> None)
 
+(* Each part is tagged and length-prefixed, so the plain, dictionary,
+   shelve and dictionary+shelve scopes can never alias. *)
+let memo_scope ?(dict : Linker.dict option)
+    ?(shelve : Shelve.plan option) () =
+  let part tag = function
+    | None -> ""
+    | Some d -> Printf.sprintf "%s%d:%s" tag (String.length d) d
+  in
+  part "dict" (Option.map (fun d -> d.Linker.dct_digest) dict)
+  ^ part "shelve" (Option.map (fun p -> p.Shelve.sp_digest) shelve)
+
 let build ?(cache = Lazy.force env_cache) ?(config = Config.baseline) ?dict
     ?shelve (apk : Dex_ir.apk) : build =
   Obs.span ~cat:"pipeline" "pipeline.build"
@@ -158,61 +169,27 @@ let build ?(cache = Lazy.force env_cache) ?(config = Config.baseline) ?dict
     | None -> compiled
     | Some s -> s.Shelve.sv_warm
   in
-  (* LTBO.2. A dictionary-relative build memoizes detection under the
-     dictionary digest ([?salt]): the detection results themselves are
-     the same, but the namespace split keeps rotation semantics honest —
-     a rotated dictionary can never replay entries keyed to the old one
-     (see Ltbo.detect_dict_ns). A shelve-composed build moves to its own
-     "detectshelve" namespace with the policy digest folded in (combined
-     with the dictionary digest when both apply): warm-set-only results
-     must never alias full-set ones, and a changed plan can only miss. *)
-  let dict_salt =
-    Option.map (fun (d : Linker.dict) -> d.Linker.dct_digest) dict
-  in
-  let detect_salt, detect_ns =
-    match shelve with
-    | None -> (dict_salt, None)
-    | Some plan ->
-      let s =
-        match dict_salt with
-        | None -> plan.Shelve.sp_digest
-        | Some d -> plan.Shelve.sp_digest ^ "+" ^ d
-      in
-      (Some s, Some "detectshelve")
-  in
   let mined, outlined, ltbo_stats =
     if not config.Config.ltbo then (mined_input, [], None)
     else
       timed phases "ltbo" (fun () ->
-          let options = Config.ltbo_options config in
+          (* Indexed by position in the mined list; a method's slot is its
+             global index, so the compile-time digest array maps through it
+             even for the filtered warm set. *)
+          let marr = Array.of_list mined_input in
           let digest_of =
-            match cache with
-            | None -> None
-            | Some _ ->
-              (* Indexed by position in the mined list; a method's slot is
-                 its global index, so the compile-time digest array maps
-                 through it even for the filtered warm set. *)
-              let slot_at =
-                Array.of_list
-                  (List.map
-                     (fun (cm : Compiled_method.t) -> cm.Compiled_method.slot)
-                     mined_input)
-              in
-              Some (fun mi -> digests.(slot_at.(mi)))
+            Option.map
+              (fun _ mi -> digests.(marr.(mi).Compiled_method.slot))
+              cache
           in
-          let result =
-            if config.Config.parallel_trees > 1 then
-              Parallel.run ?cache ?digest_of ?salt:detect_salt ?ns:detect_ns
-                ~options ~k:config.Config.parallel_trees mined_input
-            else if config.Config.ltbo_rounds > 1 then
-              Ltbo.run_rounds ?cache ?digest_of ?salt:detect_salt
-                ?ns:detect_ns ~options ~rounds:config.Config.ltbo_rounds
-                mined_input
-            else
-              Ltbo.run ?cache ?digest_of ?salt:detect_salt ?ns:detect_ns
-                ~options mined_input
+          let r =
+            Parallel.run ?cache ?digest_of
+              ~scope:(memo_scope ?dict ?shelve ())
+              ~options:(Config.ltbo_options config)
+              ~k:config.Config.parallel_trees
+              ~rounds:config.Config.ltbo_rounds mined_input
           in
-          (result.Ltbo.methods, result.Ltbo.outlined, Some result.Ltbo.stats))
+          (r.Ltbo.methods, r.Ltbo.outlined, Some r.Ltbo.stats))
   in
   let linked_methods, shelf_input =
     match shelve_split with

@@ -43,24 +43,33 @@ val build :
     HGraph/IR/codegen, and LTBO detection groups whose members' token
     digests are unchanged reuse their memoized decisions — the warm output
     is byte-identical to a cold build because both layers memoize pure
-    functions of content-addressed inputs.
+    functions of content-addressed inputs. Detection is memoized under
+    the build's {!memo_scope}.
 
     [?dict] links against a store-wide shared outline dictionary: every
     outlined body the dictionary carries binds to its shared slot at
     {!Calibro_codegen.Abi.dict_base} instead of being placed in the local
     text segment, and the output records the dictionary digest
-    ({!Calibro_oat.Oat_file.t.dict_digest}) when anything bound. LTBO
-    detection results are then memoized under a dictionary-salted
-    namespace, so rotating the dictionary misses cleanly.
+    ({!Calibro_oat.Oat_file.t.dict_digest}) when anything bound.
 
     [?shelve] composes profile-driven method shelving: cold methods
     (outside the plan's warm set) are compiled to fixed-size shelf stubs,
     their original bodies parked in the shelf image at
     {!Calibro_codegen.Abi.shelf_base}, and LTBO mines only the surviving
     warm set. The per-method cache is shared with unshelved builds (the
-    split runs post-compile); detection memoizes under the
-    ["detectshelve"] namespace salted with the policy digest. The output
-    records the policy digest in {!Calibro_oat.Oat_file.t.shelve}. *)
+    split runs post-compile). The output records the policy digest in
+    {!Calibro_oat.Oat_file.t.shelve}.
+
+    LTBO runs {!Parallel.run} with [parallel_trees] as K and
+    [ltbo_rounds] as the round count; the two compose. *)
+
+val memo_scope :
+  ?dict:Calibro_oat.Linker.dict -> ?shelve:Calibro_shelve.Shelve.plan ->
+  unit -> string
+(** The detection memo scope {!build} passes to {!Parallel.run}: the
+    dictionary and shelve-policy digests, each tagged ([""] for a plain
+    build). Warm-set-only results never replay for a full-set build, and
+    a rotated dictionary or changed plan can only miss. *)
 
 val method_key :
   config:Config.t ->

@@ -58,18 +58,13 @@ end
 
 (* ---- Per-app state ------------------------------------------------------ *)
 
-(* What identifies "the same build request" across the feedback loop —
-   the wire request minus its deadline (a retry with a different deadline
-   is still the same app and config). Mirrors
-   [Calibro_server.Protocol.build_request]; defined here so lib/server
-   can depend on lib/pgo without a cycle. *)
-type build_key = {
-  bk_config : Calibro_core.Config.t;
-  bk_dexsim : string;
-  bk_profile : string option;
-  bk_dict : string option;
-  bk_shelve : float option;
-}
+(* What identifies "the same build request" across the feedback loop is
+   the request minus its deadline: a retry with a different deadline is
+   still the same app and config. The manager clears the deadline itself
+   on every key it takes, so no caller can forget to. *)
+module Request = Calibro_core.Request
+
+let key_of (rq : Request.t) = { rq with Request.rq_deadline_ms = None }
 
 type app_totals = {
   p_reports : int;
@@ -80,7 +75,7 @@ type app_totals = {
 
 type entry = {
   e_app : string;  (* apk name, for the pgo.<app>.* counters *)
-  mutable e_key : build_key;  (* the request whose OAT clients run *)
+  mutable e_key : Request.t;  (* the request whose OAT clients run *)
   mutable e_hot : method_ref list;  (* hot set the served OAT used *)
   mutable e_acc : Profile.t;  (* decayed-window accumulator *)
   mutable e_streak : int;  (* consecutive over-threshold reports *)
@@ -130,6 +125,7 @@ module Manager = struct
      its config was re-shipped — the old served hot set and accumulator
      describe an OAT nobody runs anymore, so start over. *)
   let note_build t ~digest ~app ~key ~hot =
+    let key = key_of key in
     locked t @@ fun () ->
     match Hashtbl.find_opt t.entries digest with
     | None -> Hashtbl.add t.entries digest (fresh_entry ~app ~key ~hot)
@@ -152,6 +148,7 @@ module Manager = struct
      that [note_build] registered. Only an exact key match may be served
      stale-free — a different config or app text must build for real. *)
   let refreshed t ~digest ~key =
+    let key = key_of key in
     locked t @@ fun () ->
     match Hashtbl.find_opt t.entries digest with
     | Some e when e.e_key = key -> e.e_refreshed
@@ -159,7 +156,7 @@ module Manager = struct
 
   type report_outcome =
     | Unknown  (* no build of this app digest ever registered *)
-    | Ack of { drift : float; relink : build_key option }
+    | Ack of { drift : float; relink : Request.t option }
 
   let report t ~digest ~(profile : Profile.t) ~allow_relink =
     locked t @@ fun () ->
@@ -193,8 +190,8 @@ module Manager = struct
           && allow_relink
         then begin
           e.e_inflight <- true;
-          Some { e.e_key with bk_profile =
-                                Some (Profile.to_string e.e_streak_prof) }
+          let profile = Profile.to_string e.e_streak_prof in
+          Some { e.e_key with Request.rq_profile = Some profile }
         end
         else None
       in

@@ -50,21 +50,6 @@ module Drift : sig
       execution time; an empty union scores 0. *)
 end
 
-type build_key = {
-  bk_config : Calibro_core.Config.t;
-  bk_dexsim : string;
-  bk_profile : string option;
-  bk_dict : string option;
-  bk_shelve : float option;
-}
-(** A build request minus its deadline — what "the same build" means
-    across the feedback loop. Mirrors the wire request; defined here so
-    [lib/server] can depend on [lib/pgo] without a cycle. [bk_shelve]
-    rides through a relink untouched: the relink key carries the drift
-    streak's profile, so the worker re-derives the shelving plan from the
-    *new* regime — methods that turned hot are unshelved by the very same
-    mechanism that re-links them. *)
-
 type app_totals = {
   p_reports : int;
   p_drift_detected : int;
@@ -81,14 +66,16 @@ module Manager : sig
 
   val config : t -> config
 
-  val note_build : t -> digest:string -> app:string -> key:build_key ->
-    hot:method_ref list -> unit
+  val note_build : t -> digest:string -> app:string ->
+    key:Calibro_core.Request.t -> hot:method_ref list -> unit
   (** A build of [key] (app digest [digest], apk name [app]) completed
       with hot-method set [hot]. First sight registers the app; the same
       key again is a no-op; a different key resets the drift state (the
-      old OAT is gone) while keeping the app's tallies. *)
+      old OAT is gone) while keeping the app's tallies. Keys ignore
+      [rq_deadline_ms]: the manager clears it on every key it takes and
+      on every relink key it hands back. *)
 
-  val refreshed : t -> digest:string -> key:build_key ->
+  val refreshed : t -> digest:string -> key:Calibro_core.Request.t ->
     (Calibro_oat.Oat_file.t * float) option
   (** The relinked OAT (and its build seconds) to serve for [key], if a
       relink has landed and [key] is exactly the registered one. *)
@@ -97,7 +84,7 @@ module Manager : sig
     | Unknown
         (** no build of this digest was ever registered here — the
             caller answers a typed [Unknown_app] *)
-    | Ack of { drift : float; relink : build_key option }
+    | Ack of { drift : float; relink : Calibro_core.Request.t option }
         (** the report was merged; [relink] is [Some key] iff this very
             report crossed the hysteresis and the caller should queue an
             incremental re-link of [key] *)

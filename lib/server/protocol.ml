@@ -204,7 +204,7 @@ let r_config c =
 
 (* ---- Requests ------------------------------------------------------------ *)
 
-type build_request = {
+type build_request = Calibro_core.Request.t = {
   rq_config : Config.t;
   rq_dexsim : string;
   rq_profile : string option;

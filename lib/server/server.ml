@@ -151,7 +151,7 @@ let handle_connection t fd =
               | Some key -> (
                 match
                   Queue.try_push t.queue
-                    (Worker.Relink { r_digest = pr_app; r_key = key })
+                    (Worker.Relink { r_digest = pr_app; r_request = key })
                 with
                 | Queue.Pushed -> true
                 | Queue.Full | Queue.Closed ->

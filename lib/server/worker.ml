@@ -16,28 +16,11 @@ type client_job = {
   j_accepted_ns : int64;
 }
 
-type relink_job = { r_digest : string; r_key : Pgo.build_key }
+type relink_job = { r_digest : string; r_request : Protocol.build_request }
 
 type job = Client of client_job | Relink of relink_job
 
 type pool = { domains : unit Domain.t list }
-
-(* The request/key correspondence of the PGO loop: a key is the request
-   minus its deadline. *)
-let key_of_request (rq : Protocol.build_request) : Pgo.build_key =
-  { Pgo.bk_config = rq.Protocol.rq_config;
-    bk_dexsim = rq.Protocol.rq_dexsim;
-    bk_profile = rq.Protocol.rq_profile;
-    bk_dict = rq.Protocol.rq_dict;
-    bk_shelve = rq.Protocol.rq_shelve }
-
-let request_of_key (k : Pgo.build_key) : Protocol.build_request =
-  { Protocol.rq_config = k.Pgo.bk_config;
-    rq_dexsim = k.Pgo.bk_dexsim;
-    rq_profile = k.Pgo.bk_profile;
-    rq_deadline_ms = None;
-    rq_dict = k.Pgo.bk_dict;
-    rq_shelve = k.Pgo.bk_shelve }
 
 (* ---- Connection plumbing ------------------------------------------------ *)
 
@@ -87,82 +70,72 @@ let build_oat_hot ~cache ?dict (rq : Protocol.build_request) :
       * Calibro_dex.Dex_ir.method_ref list,
       Protocol.rejection )
     result =
-  (* Resolve the dictionary the request asked for against the one this
-     daemon serves. [rq_dict = None] is a self-contained build whatever
-     the daemon holds; [Some want] must match the served digest exactly —
-     a client that raced a rotation gets a typed mismatch and can
-     re-handshake, never silently a build against the wrong image. *)
-  let resolve_dict () :
-      (Calibro_oat.Linker.dict option, Protocol.rejection) result =
-    match rq.Protocol.rq_dict with
-    | None -> Ok None
-    | Some want -> (
-      match dict with
-      | Some (d : Calibro_oat.Linker.dict)
-        when d.Calibro_oat.Linker.dct_digest = want ->
-        Ok (Some d)
-      | have ->
-        Error
-          (Protocol.Dict_mismatch
-             { dm_want = Some want;
-               dm_have =
-                 Option.map
-                   (fun (d : Calibro_oat.Linker.dict) ->
-                     d.Calibro_oat.Linker.dct_digest)
-                   have }))
+  let ( let* ) = Result.bind in
+  let parse_error prefix =
+    Result.map_error (fun e -> Protocol.Parse_error (prefix ^ e))
   in
   match
-    match resolve_dict () with
-    | Error rej -> Error rej
-    | Ok dict -> (
-    match Calibro_dex.Dex_text.parse rq.Protocol.rq_dexsim with
-    | Error e -> Error (Protocol.Parse_error e)
-    | Ok apk ->
-      let profile =
-        match rq.Protocol.rq_profile with
-        | None -> Ok None
-        | Some text -> (
-          match Calibro_profile.Profile.of_string text with
-          | Ok prof -> Ok (Some prof)
-          | Error e -> Error e)
-      in
-      (match profile with
-       | Error e -> Error (Protocol.Parse_error ("profile: " ^ e))
-       | Ok profile ->
-         let hot =
-           match profile with
-           | None -> []
-           | Some p -> Calibro_profile.Profile.hot_set p
-         in
-         let config =
-           let c = rq.Protocol.rq_config in
-           if hot = [] then c
-           else
-             { c with
-               Config.hot_methods =
-                 List.sort_uniq compare (c.Config.hot_methods @ hot) }
-         in
-         (* Shelving needs a profile to draw the warm set from: a
-            threshold without one (a fresh app nobody has run) builds
-            unshelved rather than shelving everything blind. *)
-         let shelve =
-           match (rq.Protocol.rq_shelve, profile) with
-           | Some coverage, Some p ->
-             Some (Calibro_shelve.Shelve.of_profile ~coverage p)
-           | _ -> None
-         in
-         let t0 = Clock.now_ns () in
-         let b = Pipeline.build ~cache ~config ?dict ?shelve apk in
-         let build_s = Clock.since_s t0 in
-         let oat = b.Pipeline.b_oat in
-         Ok
-           ( oat,
-             { Protocol.bs_text_size = Calibro_oat.Oat_file.text_size oat;
-               bs_methods = List.length oat.Calibro_oat.Oat_file.methods;
-               bs_thunks = List.length oat.Calibro_oat.Oat_file.thunks;
-               bs_outlined = List.length oat.Calibro_oat.Oat_file.outlined;
-               bs_build_s = build_s },
-             config.Config.hot_methods )))
+    (* Resolve the dictionary the request asked for against the one this
+       daemon serves. [rq_dict = None] is a self-contained build whatever
+       the daemon holds; [Some want] must match the served digest exactly
+       — a client that raced a rotation gets a typed mismatch and can
+       re-handshake, never silently a build against the wrong image. *)
+    let digest (d : Calibro_oat.Linker.dict) =
+      d.Calibro_oat.Linker.dct_digest
+    in
+    let* dict =
+      match (rq.Protocol.rq_dict, dict) with
+      | None, _ -> Ok None
+      | Some want, Some d when digest d = want -> Ok (Some d)
+      | Some want, have ->
+        Error
+          (Protocol.Dict_mismatch
+             { dm_want = Some want; dm_have = Option.map digest have })
+    in
+    let* apk =
+      parse_error "" (Calibro_dex.Dex_text.parse rq.Protocol.rq_dexsim)
+    in
+    let* profile =
+      match rq.Protocol.rq_profile with
+      | None -> Ok None
+      | Some text ->
+        parse_error "profile: "
+          (Result.map Option.some (Calibro_profile.Profile.of_string text))
+    in
+    let hot =
+      match profile with
+      | None -> []
+      | Some p -> Calibro_profile.Profile.hot_set p
+    in
+    let config =
+      let c = rq.Protocol.rq_config in
+      if hot = [] then c
+      else
+        { c with
+          Config.hot_methods =
+            List.sort_uniq compare (c.Config.hot_methods @ hot) }
+    in
+    (* Shelving needs a profile to draw the warm set from: a threshold
+       without one (a fresh app nobody has run) builds unshelved rather
+       than shelving everything blind. *)
+    let shelve =
+      match (rq.Protocol.rq_shelve, profile) with
+      | Some coverage, Some p ->
+        Some (Calibro_shelve.Shelve.of_profile ~coverage p)
+      | _ -> None
+    in
+    let t0 = Clock.now_ns () in
+    let b = Pipeline.build ~cache ~config ?dict ?shelve apk in
+    let build_s = Clock.since_s t0 in
+    let oat = b.Pipeline.b_oat in
+    Ok
+      ( oat,
+        { Protocol.bs_text_size = Calibro_oat.Oat_file.text_size oat;
+          bs_methods = List.length oat.Calibro_oat.Oat_file.methods;
+          bs_thunks = List.length oat.Calibro_oat.Oat_file.thunks;
+          bs_outlined = List.length oat.Calibro_oat.Oat_file.outlined;
+          bs_build_s = build_s },
+        config.Config.hot_methods )
   with
   | r -> r
   | exception Pipeline.Build_error m -> Error (Protocol.Build_failed m)
@@ -231,9 +204,7 @@ let cache_hits_now () =
     (fun acc name -> acc + Obs.Counter.value name)
     0
     [ "cache.method.hits"; "cache.method.disk_hits"; "cache.detect.hits";
-      "cache.detect.disk_hits"; "cache.detectdict.hits";
-      "cache.detectdict.disk_hits"; "cache.detectshelve.hits";
-      "cache.detectshelve.disk_hits" ]
+      "cache.detect.disk_hits" ]
 
 let handle_client ~cache ~dict ~pgo (job : client_job) =
   Obs.span ~cat:"server" "server.job"
@@ -262,7 +233,7 @@ let handle_client ~cache ~dict ~pgo (job : client_job) =
       | None -> None
       | Some m ->
         let digest = Chash.string job.j_request.Protocol.rq_dexsim in
-        Pgo.Manager.refreshed m ~digest ~key:(key_of_request job.j_request)
+        Pgo.Manager.refreshed m ~digest ~key:job.j_request
     in
     match refreshed with
     | Some (oat, build_s) ->
@@ -301,7 +272,7 @@ let handle_client ~cache ~dict ~pgo (job : client_job) =
         Pgo.Manager.note_build m
           ~digest:(Chash.string rq.Protocol.rq_dexsim)
           ~app:oat.Calibro_oat.Oat_file.apk_name
-          ~key:(key_of_request rq) ~hot
+          ~key:rq ~hot
       | _ -> ());
       let delivered =
         match result with
@@ -332,7 +303,7 @@ let handle_relink ~cache ~dict ~pgo (job : relink_job) =
     @@ fun () ->
     let hits0 = cache_hits_now () in
     (match
-       build_oat_hot ~cache ?dict:(dict ()) (request_of_key job.r_key)
+       build_oat_hot ~cache ?dict:(dict ()) job.r_request
      with
      | Ok (oat, stats, hot) ->
        Pgo.Manager.relink_done m ~digest:job.r_digest ~oat

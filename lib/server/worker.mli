@@ -1,7 +1,10 @@
 (** The calibrod worker pool: a fixed set of OCaml 5 domains pulling jobs
     off the admission {!Queue} and running {!Calibro_core.Pipeline.build}
     against one shared {!Calibro_cache.Cache} — so identical methods
-    compiled for different clients hit warm (the ShareJIT effect).
+    compiled for different clients hit warm (the ShareJIT effect). LTBO
+    detection results share it too, in one namespace under each build's
+    {!Calibro_core.Pipeline.memo_scope}, so a dictionary-bound or shelved
+    request never replays a plain one's.
 
     Isolation contract: a job can only fail its own request. Parse
     errors, [Build_error], [Ltbo_error], [Pass_error] and any other
@@ -30,9 +33,9 @@ type client_job = {
 
 type relink_job = {
   r_digest : string;  (** the drifting app's digest *)
-  r_key : Calibro_pgo.Pgo.build_key;
+  r_request : Protocol.build_request;
       (** what to rebuild: the registered request with its profile
-          replaced by the drifted one *)
+          replaced by the drifted one and no deadline *)
 }
 (** A PGO drift re-link, scheduled by {!Server} when
     {!Calibro_pgo.Pgo.Manager.report} crosses the hysteresis. It runs the
@@ -41,13 +44,6 @@ type relink_job = {
     ({!Calibro_pgo.Pgo.Manager.relink_done}) instead of on a socket. *)
 
 type job = Client of client_job | Relink of relink_job
-
-val key_of_request : Protocol.build_request -> Calibro_pgo.Pgo.build_key
-(** The request minus its deadline — the PGO loop's identity for "the
-    same build". *)
-
-val request_of_key : Calibro_pgo.Pgo.build_key -> Protocol.build_request
-(** Inverse of {!key_of_request} (deadline [None]). *)
 
 type pool
 

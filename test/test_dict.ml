@@ -299,8 +299,8 @@ let rotation_tests =
         let build_with dict =
           Pipeline.build ~cache:(Some c) ~config:pl8 ~dict apk
         in
-        let hits () = counter "cache.detectdict.hits"
-        and misses () = counter "cache.detectdict.misses" in
+        let hits () = counter "cache.detect.hits"
+        and misses () = counter "cache.detect.misses" in
         let m0 = misses () in
         let b1 = build_with ld in
         Alcotest.(check bool) "cold build misses" true (misses () - m0 > 0);
@@ -324,7 +324,66 @@ let rotation_tests =
           (Bytes.equal b1.Pipeline.b_oat.Oat.text b3.Pipeline.b_oat.Oat.text);
         Alcotest.(check (option string))
           "rotated digest recorded" (Some "rotated-digest")
-          b3.Pipeline.b_oat.Oat.dict_digest)
+          b3.Pipeline.b_oat.Oat.dict_digest);
+    Alcotest.test_case "the four memo scopes never share a detect entry"
+      `Quick (fun () ->
+        (* One group, detected into one cache under each scope in turn:
+           every scope must miss on its first lookup — so its key differs
+           from every scope already stored — and hit on its second. *)
+        let apk = demo_apk () in
+        let ld = Dict.linker_dict (snd (demo_dict ())) in
+        let plan = Calibro_shelve.Shelve.plan ~coverage:0.8 ~warm:[] in
+        let scope = Pipeline.memo_scope in
+        let rotated = { ld with Linker.dct_digest = "rotated-digest" } in
+        let scopes =
+          [ ("plain", scope ());
+            ("dict", scope ~dict:ld ());
+            ("shelve", scope ~shelve:plan ());
+            ("dict+shelve", scope ~dict:ld ~shelve:plan ());
+            ("rotated dict", scope ~dict:rotated ());
+            ("rotated dict+shelve", scope ~dict:rotated ~shelve:plan ()) ]
+        in
+        let methods = Calibro_dex.Dex_ir.methods_of_apk apk in
+        let slots = Hashtbl.create 64 in
+        List.iteri
+          (fun i (m : Calibro_dex.Dex_ir.meth) ->
+            Hashtbl.replace slots m.Calibro_dex.Dex_ir.name i)
+          methods;
+        let compiled =
+          List.map
+            (fun m ->
+              Calibro_codegen.Codegen.compile
+                ~slot_of_method:(Hashtbl.find slots)
+                (Calibro_hgraph.Hgraph.of_method m))
+            methods
+        in
+        let marr = Array.of_list compiled
+        and group = Ltbo.candidates compiled in
+        let c = Cache.create () in
+        let hits () = counter "cache.detect.hits"
+        and misses () = counter "cache.detect.misses" in
+        let results =
+          List.map
+            (fun (name, scope) ->
+              let detect () =
+                Ltbo.detect ~cache:c ~scope ~options:Ltbo.default_options marr
+                  group
+              in
+              let h0 = hits () and m0 = misses () in
+              let r = detect () in
+              Alcotest.(check (pair int int)) (name ^ ": first lookup misses")
+                (0, 1) (hits () - h0, misses () - m0);
+              let h1 = hits () and m1 = misses () in
+              let r' = detect () in
+              Alcotest.(check (pair int int)) (name ^ ": second lookup hits")
+                (1, 0) (hits () - h1, misses () - m1);
+              Alcotest.(check bool) (name ^ ": hit replays the result") true
+                (r = r');
+              r)
+            scopes
+        in
+        Alcotest.(check bool) "the scope changes the key, not the result" true
+          (List.for_all (( = ) (List.hd results)) results))
   ]
 
 let suite =

@@ -319,7 +319,7 @@ let extension_suite =
                  g))
             methods
         in
-        let r = Ltbo.run_rounds ~rounds:3 cms in
+        let r = Parallel.run ~k:1 ~rounds:3 cms in
         let syms =
           List.map
             (fun (xf : Calibro_oat.Linker.extra_function) -> xf.xf_sym)
@@ -330,7 +330,34 @@ let extension_suite =
         Alcotest.(check int) "all symbols distinct" (List.length syms)
           (List.length (List.sort_uniq compare syms));
         Alcotest.(check bool) "all in the outlined namespace" true
-          (List.for_all (fun s -> s >= Ltbo.outlined_sym_base) syms))
+          (List.for_all (fun s -> s >= Ltbo.outlined_sym_base) syms));
+    Alcotest.test_case "rounds compose with PlOpti" `Quick (fun () ->
+        (* A wire request can carry both fields, and they compose.
+           Round 1 of the composition is PlOpti(2) itself, so the rounds
+           can only add outlining — and on the demo app round 2 does find
+           second-order repeats, so dropped rounds fail the strict check. *)
+        let apk =
+          (Calibro_workload.Appgen.generate Calibro_workload.Apps.demo)
+            .Calibro_workload.Appgen.app
+        in
+        let pl2 = { Config.cto_ltbo with name = "pl2"; parallel_trees = 2 } in
+        let both = { pl2 with name = "pl2+rounds2"; ltbo_rounds = 2 } in
+        (match Calibro_check.Oracle.run ~configs:[ both ] apk with
+         | Error e -> Alcotest.failf "oracle: %s" e
+         | Ok r ->
+           Alcotest.(check (list string)) "oracle-clean" []
+             (List.map Calibro_check.Oracle.divergence_to_string
+                r.Calibro_check.Oracle.r_divergences));
+        let outlined c =
+          (Option.get (Pipeline.build ~cache:None ~config:c apk)
+             .Pipeline.b_ltbo_stats)
+            .Ltbo.s_outlined_functions
+        in
+        let n_pl2 = outlined pl2 and n_both = outlined both in
+        Alcotest.(check bool)
+          (Printf.sprintf "rounds add outlining (%d vs PlOpti(2) %d)" n_both
+             n_pl2)
+          true (n_both > n_pl2))
   ]
 
 let suite = suite @ extension_suite
@@ -379,7 +406,7 @@ let table2_suite =
           mk 0 code1
           :: List.init 3 (fun i -> mk (i + 1) (seq (4 + i) @ [ Isa.Ret ]))
         in
-        let result = Ltbo.run methods in
+        let result = Parallel.run ~k:1 ~rounds:1 methods in
         Alcotest.(check bool) "something outlined" true
           (result.Ltbo.stats.Ltbo.s_outlined_functions >= 1);
         let m0 = List.hd result.Ltbo.methods in

@@ -222,6 +222,24 @@ let test_trace_roundtrip_pipeline () =
        && end_ns ltbo <= end_ns build
        && ltbo.Obs.ev_depth > build.Obs.ev_depth)
 
+(* The one LTBO driver takes the global-tree path at K = 1: a CTO+LTBO
+   build never enters the PlOpti domain pool, so it opens no plopti.*
+   span (the PlOpti(2) build above still opens plopti.detect_parallel). *)
+let test_global_tree_opens_no_plopti_span () =
+  Obs.reset ();
+  let apk =
+    (Calibro_workload.Appgen.generate Calibro_workload.Apps.demo)
+      .Calibro_workload.Appgen.app
+  in
+  ignore
+    (Calibro_core.Pipeline.build ~cache:None
+       ~config:Calibro_core.Config.cto_ltbo apk);
+  let names = List.map (fun e -> e.Obs.ev_name) (Obs.events ()) in
+  Alcotest.(check bool) "ltbo.detect span present" true
+    (List.mem "ltbo.detect" names);
+  Alcotest.(check (list string)) "no plopti.* span" []
+    (List.filter (String.starts_with ~prefix:"plopti.") names)
+
 (* ---- Metrics snapshot ------------------------------------------------------- *)
 
 let test_metrics_json () =
@@ -302,6 +320,8 @@ let suite =
       test_json_escaping_arbitrary_span_names;
     Alcotest.test_case "chrome trace of a real build parses, nested" `Quick
       test_trace_roundtrip_pipeline;
+    Alcotest.test_case "a global-tree build opens no plopti span" `Quick
+      test_global_tree_opens_no_plopti_span;
     Alcotest.test_case "metrics snapshot exports every family" `Quick
       test_metrics_json;
     Alcotest.test_case "b_timings is a view of the phase spans" `Quick

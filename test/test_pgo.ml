@@ -8,6 +8,7 @@ open Calibro_dex.Dex_ir
 module Profile = Calibro_profile.Profile
 module Pgo = Calibro_pgo.Pgo
 module Config = Calibro_core.Config
+module Request = Calibro_core.Request
 
 let mref c m = { class_name = c; method_name = m }
 
@@ -185,11 +186,12 @@ let drift_monotone_in_displaced_mass () =
 (* ---- the hysteresis state machine -------------------------------------- *)
 
 let key =
-  { Pgo.bk_config = Config.baseline;
-    bk_dexsim = "dex";
-    bk_profile = None;
-    bk_dict = None;
-    bk_shelve = None }
+  { Request.rq_config = Config.baseline;
+    rq_dexsim = "dex";
+    rq_profile = None;
+    rq_deadline_ms = None;
+    rq_dict = None;
+    rq_shelve = None }
 
 let base_profile =
   [ sample "a.A" "hot1" 5000;
@@ -262,11 +264,11 @@ let hysteresis_requires_streak () =
   | None -> Alcotest.fail "third over-threshold report must schedule"
   | Some k ->
     Alcotest.(check bool) "relink key keeps config+dex" true
-      (k.Pgo.bk_config = key.Pgo.bk_config
-      && k.Pgo.bk_dexsim = key.Pgo.bk_dexsim);
+      (k.Request.rq_config = key.Request.rq_config
+      && k.Request.rq_dexsim = key.Request.rq_dexsim);
     (* the relink profile is the streak merge: 3x the drifted report,
        whose hot set is exactly the new regime's *)
-    (match k.Pgo.bk_profile with
+    (match k.Request.rq_profile with
     | None -> Alcotest.fail "relink key must carry the streak profile"
     | Some s ->
       (match Profile.of_string s with
@@ -353,6 +355,60 @@ let relink_failed_releases_latch () =
   let _, r3 = report_ack m ~digest drifted_profile in
   Alcotest.(check bool) "failure releases the latch" true (r3 <> None)
 
+(* The deadline is the one request field that does not name the build:
+   requests differing only in it share one manager entry — a second
+   [note_build] neither resets the drift streak nor hides the refreshed
+   OAT — and the relink the manager hands back carries no deadline. *)
+let key_ignores_deadline () =
+  let m =
+    Pgo.Manager.create
+      ~config:{ Pgo.default_config with Pgo.hysteresis = 3 } ()
+  in
+  let digest = "app-digest" in
+  let with_deadline ms = { key with Request.rq_deadline_ms = Some ms } in
+  let note k =
+    Pgo.Manager.note_build m ~digest ~app:"Deadline" ~key:k
+      ~hot:(Profile.hot_set base_profile)
+  in
+  note (with_deadline 100);
+  let _, r1 = report_ack m ~digest drifted_profile in
+  let _, r2 = report_ack m ~digest drifted_profile in
+  Alcotest.(check bool) "no relink before hysteresis" true
+    (r1 = None && r2 = None);
+  (* the same build under another deadline: not a re-ship *)
+  note (with_deadline 900);
+  note key;
+  let relink =
+    match report_ack m ~digest drifted_profile with
+    | _, Some k -> k
+    | _, None -> Alcotest.fail "the streak survived: third report schedules"
+  in
+  Alcotest.(check (option int)) "relink carries no deadline" None
+    relink.Request.rq_deadline_ms;
+  Alcotest.(check bool) "relink keeps config+dex" true
+    (relink.Request.rq_config = key.Request.rq_config
+    && relink.Request.rq_dexsim = key.Request.rq_dexsim);
+  let oat =
+    (Calibro_core.Pipeline.build ~cache:None
+       (Calibro_workload.Appgen.generate Calibro_workload.Apps.demo)
+         .Calibro_workload.Appgen.app)
+      .Calibro_core.Pipeline.b_oat
+  in
+  Pgo.Manager.relink_done m ~digest ~oat ~build_s:0.0
+    ~hot:(Profile.hot_set drifted_profile) ~cache_hits:0;
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) "refreshed under any deadline" true
+        (Pgo.Manager.refreshed m ~digest ~key:k <> None))
+    [ key; with_deadline 1; with_deadline 100_000 ];
+  Alcotest.(check bool) "another profile is another build" true
+    (Pgo.Manager.refreshed m ~digest
+       ~key:{ key with Request.rq_profile = Some "" }
+     = None);
+  match Pgo.Manager.totals m with
+  | [ (_, t) ] -> Alcotest.(check int) "one relink" 1 t.Pgo.p_relinks
+  | l -> Alcotest.failf "expected one app entry, got %d" (List.length l)
+
 let suite =
   List.map (QCheck_alcotest.to_alcotest ~long:false)
     [ merge_commutative;
@@ -379,4 +435,6 @@ let suite =
       Alcotest.test_case "drain merges but never schedules" `Quick
         drain_never_schedules;
       Alcotest.test_case "relink failure releases the latch" `Quick
-        relink_failed_releases_latch ]
+        relink_failed_releases_latch;
+      Alcotest.test_case "key ignores the deadline" `Quick
+        key_ignores_deadline ]
