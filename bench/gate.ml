@@ -14,7 +14,6 @@ type path = string list
 (* How [baseline] turns a measured value into the committed bound. *)
 type write =
   | Same  (* the measured value itself, Int or Float *)
-  | Half_count  (* integer half of a count that races concurrent work *)
   | Round of float * int  (* measured x factor, rounded to n decimals *)
   | Pad of int
       (* rounded to n decimals, then one step of the last decimal to the
@@ -83,7 +82,6 @@ let bound kind m =
   in
   match (rule, m) with
   | Same, (Json.Int _ | Json.Float _) -> Some m
-  | Half_count, Json.Int n -> Some (Json.Int (n / 2))
   | Round (f, digits), _ ->
     let p = 10. ** float_of_int digits in
     scaled (fun x -> Float.round (x *. f *. p) /. p)
@@ -91,7 +89,7 @@ let bound kind m =
     let p = 10. ** float_of_int digits in
     scaled (fun x -> (Float.round (x *. p) +. loose) /. p)
   | Const c, _ -> Some (Json.Float c)
-  | (Same | Half_count), _ -> None
+  | Same, _ -> None
 
 (* The baseline fold: every row's bound, derived from one measurement. *)
 let baseline rows measured : (Json.t, string list) result =

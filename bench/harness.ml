@@ -32,24 +32,8 @@ type app_eval = {
   e_run_hf : int * int;
 }
 
-let run_script oat (script : Appgen.script) =
-  let t = Interp.load oat in
-  List.iter
-    (fun (st : Appgen.script_step) ->
-      for _ = 1 to st.Appgen.sc_repeat do
-        match Interp.call t st.Appgen.sc_method st.Appgen.sc_args with
-        | Interp.Fault m ->
-          failwith
-            (Printf.sprintf "script fault in %s: %s"
-               (Calibro_dex.Dex_ir.method_ref_to_string st.Appgen.sc_method)
-               m)
-        | _ -> ()
-      done)
-    script;
-  t
-
 let measure oat script =
-  let t = run_script oat script in
+  let t = Appgen.run_script oat script in
   (Interp.cycles t, Interp.resident_code_bytes t)
 
 let evaluate_app (profile : Appgen.profile) : app_eval =
@@ -59,7 +43,7 @@ let evaluate_app (profile : Appgen.profile) : app_eval =
   let script = a.Appgen.app_script in
   let base = Pipeline.build ~config:Config.baseline apk in
   (* Figure 6 workflow: profile the baseline build, derive the hot set. *)
-  let tb = run_script base.Pipeline.b_oat script in
+  let tb = Appgen.run_script base.Pipeline.b_oat script in
   let hot = Profile.hot_set (Profile.of_interp tb) in
   let cto = Pipeline.build ~config:Config.cto apk in
   let ltbo = Pipeline.build ~config:Config.cto_ltbo apk in
@@ -612,7 +596,7 @@ let digests () =
         let a = Appgen.generate p in
         let apk = a.Appgen.app in
         let base = Pipeline.build ~config:Config.baseline apk in
-        let tb = run_script base.Pipeline.b_oat a.Appgen.app_script in
+        let tb = Appgen.run_script base.Pipeline.b_oat a.Appgen.app_script in
         let profile = Profile.of_interp tb in
         let hot = Profile.hot_set profile in
         List.iter
@@ -973,12 +957,9 @@ let gate_rows : Gate.row list =
         (Floor (Round (0.5, 2), 1.));
       row [ "pgo" ] "relink_degradation_pct" "relink_degradation_envelope_pct"
         (Envelope (Const Pgo_bench.table7_envelope_pct, 1.));
-      (* The re-link hit counts race: Worker.cache_hits_now credits a
-         re-link with concurrent jobs' hits, and Build requests race how
-         warm the cache is when it runs. Half still proves the re-link is
-         incremental, which is the claim. *)
-      row [ "pgo" ] "relink_cache_hits" "relink_cache_hits_floor"
-        (Floor (Half_count, 1.));
+      (* the hits the re-link's own build scored: the cache holds exactly
+         the old-profile build when it runs, so the count is exact *)
+      row [ "pgo" ] "relink_cache_hits" "relink_cache_hits_floor" exact_floor;
       row [ "train" ] "text_saved" "text_saved_floor" exact_floor;
       row [ "train" ] "cycle_ratio" "cycle_ratio_envelope"
         (Envelope (Pad 3, 1.));
@@ -989,7 +970,7 @@ let gate_rows : Gate.row list =
       row [ "train" ] "fleet_hit_rate" "fleet_hit_rate_floor"
         (Floor (Round (0.5, 3), 1.));
       row [ "train" ] "pgo_shelved_relink_cache_hits"
-        "pgo_shelved_relink_cache_hits_floor" (Floor (Half_count, 1.)) ]
+        "pgo_shelved_relink_cache_hits_floor" exact_floor ]
 
 (* `baseline`: measure and write every row's bound to [path]; refuses
    (returns the failures) while any correctness check fails. *)

@@ -39,6 +39,7 @@ module Profile = Calibro_profile.Profile
 module Interp = Calibro_vm.Interp
 module Oat_file = Calibro_oat.Oat_file
 module Json = Calibro_obs.Json
+module Obs = Calibro_obs.Obs
 module Chash = Calibro_chash.Chash
 
 (* The repo's own Table 7 average degradation (EXPERIMENTS.md: ~+4.6%
@@ -113,26 +114,10 @@ let weighted script w =
     (fun i (st : Appgen.script_step) -> { st with Appgen.sc_repeat = w i })
     script
 
-let run_script oat script =
-  let t = Interp.load oat in
-  List.iter
-    (fun (st : Appgen.script_step) ->
-      for _ = 1 to st.Appgen.sc_repeat do
-        match Interp.call t st.Appgen.sc_method st.Appgen.sc_args with
-        | Interp.Fault m ->
-          failwith
-            (Printf.sprintf "pgo bench script fault in %s: %s"
-               (Calibro_dex.Dex_ir.method_ref_to_string st.Appgen.sc_method)
-               m)
-        | _ -> ()
-      done)
-    script;
-  t
-
 let cycles_of_bytes oat_bytes script =
   match Oat_file.of_bytes (Bytes.of_string oat_bytes) with
   | Error e -> failwith ("pgo bench: served OAT does not parse: " ^ e)
-  | Ok oat -> Interp.cycles (run_script oat script)
+  | Ok oat -> Interp.cycles (Appgen.run_script oat script)
 
 let expect_built what = function
   | Protocol.Built { oat; _ } -> oat
@@ -158,7 +143,7 @@ let measure ?shelve () : result =
   and script_new = weighted script (fun i -> if i < half then 16 else 1) in
   (* Profiles come from the simulator, like Figure 6's workflow. *)
   let base = Pipeline.build ~cache:None ~config:Config.baseline apk in
-  let prof s = Profile.to_string (Profile.of_interp (run_script base.Pipeline.b_oat s)) in
+  let prof s = Profile.to_string (Profile.of_interp (Appgen.run_script base.Pipeline.b_oat s)) in
   let prof_old = prof script_old and prof_new = prof script_new in
   let config =
     match Config.of_string "pl2" with Ok c -> c | Error e -> failwith e
@@ -185,6 +170,9 @@ let measure ?shelve () : result =
   let stale_cycles = cycles_of_bytes expected_old script_new
   and fresh_cycles = cycles_of_bytes expected_new script_new in
   (* The served loop. *)
+  let app = apk.Calibro_dex.Dex_ir.apk_name in
+  let tally what = Obs.Counter.value (Printf.sprintf "pgo.%s.%s" app what) in
+  let relinks0 = tally "relinks" and hits0 = tally "relink_cache_hits" in
   let pgo = Pgo.Manager.create () in
   let socket =
     Printf.sprintf "%s/calibro-bench-pgo-%d.sock"
@@ -247,12 +235,6 @@ let measure ?shelve () : result =
     | Some oat, Some f -> if not (String.equal oat f) then monotone := false
     | None, _ | _, None -> monotone := false
   done;
-  (* read the tallies before the drain mirrors-and-zeroes them *)
-  let relinks, hits =
-    match Pgo.Manager.totals pgo with
-    | [ (_, t) ] -> (t.Pgo.p_relinks, t.Pgo.p_relink_cache_hits)
-    | _ -> (0, 0)
-  in
   Server.request_drain server;
   Server.drain server;
   let byte_ok, relinked_cycles =
@@ -262,10 +244,10 @@ let measure ?shelve () : result =
     | Some oat -> (false, cycles_of_bytes oat script_new)
     | None -> (false, stale_cycles)
   in
-  { pg_app = apk.Calibro_dex.Dex_ir.apk_name;
+  { pg_app = app;
     pg_reports = !reports;
-    pg_relinks = relinks;
-    pg_relink_cache_hits = hits;
+    pg_relinks = tally "relinks" - relinks0;
+    pg_relink_cache_hits = tally "relink_cache_hits" - hits0;
     pg_flip_monotone = first_serve_old && !steady_quiet && !monotone;
     pg_byte_ok = byte_ok;
     pg_stale_cycles = stale_cycles;

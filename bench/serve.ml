@@ -205,6 +205,11 @@ type fleet_result = {
   fl_failovers : int;  (* sum of router.shard<i>.failovers *)
 }
 
+let router_failovers () =
+  List.init fleet_shards (fun i ->
+      Obs.Counter.value (Printf.sprintf "router.shard%d.failovers" i))
+  |> List.fold_left ( + ) 0
+
 let fleet_measure () : fleet_result =
   let slots, expected = workload () in
   let servers =
@@ -237,6 +242,7 @@ let fleet_measure () : fleet_result =
   in
   let progress = Atomic.make 0 in
   let total = fleet_clients * requests_per_client in
+  let failovers0 = router_failovers () in
   let killer =
     Thread.create
       (fun () ->
@@ -258,12 +264,7 @@ let fleet_measure () : fleet_result =
   Array.iteri
     (fun i s -> if i <> victim then (Server.request_drain s; Server.drain s))
     servers;
-  let tt = Router.totals router in
-  let failovers =
-    Array.fold_left
-      (fun acc (s : Router.shard_totals) -> acc + s.Router.s_failovers)
-      0 tt.Router.t_shards
-  in
+  let failovers = router_failovers () - failovers0 in
   { fl_requests = total;
     fl_built = built;
     fl_rejected = rejected;

@@ -126,22 +126,6 @@ let failures r =
           "train: the release-train replay never hit the fleet cache") ])
   @ Pgo_bench.loop_failures "train: shelved pgo" r.tr_pgo
 
-let run_script ?dict oat script =
-  let t = Interp.load ?dict oat in
-  List.iter
-    (fun (st : Appgen.script_step) ->
-      for _ = 1 to st.Appgen.sc_repeat do
-        match Interp.call t st.Appgen.sc_method st.Appgen.sc_args with
-        | Interp.Fault m ->
-          failwith
-            (Printf.sprintf "train bench script fault in %s: %s"
-               (Calibro_dex.Dex_ir.method_ref_to_string st.Appgen.sc_method)
-               m)
-        | _ -> ()
-      done)
-    script;
-  t
-
 (* Cache traffic, summed over every namespace the pipeline uses. *)
 let cache_ns = [ "method"; "detect" ]
 
@@ -168,12 +152,12 @@ let frontier () =
         let g = Appgen.generate p in
         let apk = g.Appgen.app and script = g.Appgen.app_script in
         let plain = Pipeline.build ~config:pl8 apk in
-        let tp = run_script plain.Pipeline.b_oat script in
+        let tp = Appgen.run_script plain.Pipeline.b_oat script in
         let plan =
           Shelve.of_profile ~coverage:shelve_coverage (Profile.of_interp tp)
         in
         let shelved = Pipeline.build ~config:pl8 ~shelve:plan apk in
-        let ts = run_script shelved.Pipeline.b_oat script in
+        let ts = Appgen.run_script shelved.Pipeline.b_oat script in
         (apk, script, plan, plain, tp, shelved, ts))
       Apps.all
   in
@@ -189,7 +173,7 @@ let frontier () =
         Printf.eprintf "[train] binding %s against %s...\n%!" name
           (Dict.digest d);
         let bound = Pipeline.build ~config:pl8 ~dict:ld ~shelve:plan apk in
-        let tb = run_script ~dict:(Dict.vm_image d) bound.Pipeline.b_oat script in
+        let tb = Appgen.run_script ~dict:(Dict.vm_image d) bound.Pipeline.b_oat script in
         let plain_log = Interp.log tp in
         let row =
           { ta_name = name;
@@ -226,7 +210,7 @@ let train_requests () =
   let bl = Pipeline.build ~config:Config.baseline base in
   let prof_text =
     Profile.to_string
-      (Profile.of_interp (run_script bl.Pipeline.b_oat g.Appgen.app_script))
+      (Profile.of_interp (Appgen.run_script bl.Pipeline.b_oat g.Appgen.app_script))
   in
   let config =
     match Config.of_string "pl2" with Ok c -> c | Error e -> failwith e

@@ -71,17 +71,7 @@ let run endpoint clients requests app_name seeds config_name deadline_ms
     | None -> None
     | Some _ ->
       let b = Pipeline.build ~config:Config.baseline base in
-      let t = Calibro_vm.Interp.load b.Pipeline.b_oat in
-      List.iter
-        (fun (st : Appgen.script_step) ->
-          for _ = 1 to st.Appgen.sc_repeat do
-            match
-              Calibro_vm.Interp.call t st.Appgen.sc_method st.Appgen.sc_args
-            with
-            | Calibro_vm.Interp.Fault m -> failwith ("script fault: " ^ m)
-            | _ -> ()
-          done)
-        generated.Appgen.app_script;
+      let t = Appgen.run_script b.Pipeline.b_oat generated.Appgen.app_script in
       Some
         (Calibro_profile.Profile.to_string
            (Calibro_profile.Profile.of_interp t))
@@ -288,18 +278,9 @@ let run_drift endpoint clients requests app_name seed config_name deadline_ms
   and script_new = weighted (fun i -> if i < half then 15 else 0) in
   let baseline_build = Pipeline.build ~config:Config.baseline base_apk in
   let profile_of script =
-    let t = Calibro_vm.Interp.load baseline_build.Pipeline.b_oat in
-    List.iter
-      (fun (st : Appgen.script_step) ->
-        for _ = 1 to st.Appgen.sc_repeat do
-          match
-            Calibro_vm.Interp.call t st.Appgen.sc_method st.Appgen.sc_args
-          with
-          | Calibro_vm.Interp.Fault m -> failwith ("script fault: " ^ m)
-          | _ -> ()
-        done)
-      script;
-    Pgo_profile.to_string (Pgo_profile.of_interp t)
+    Pgo_profile.to_string
+      (Pgo_profile.of_interp
+         (Appgen.run_script baseline_build.Pipeline.b_oat script))
   in
   let profile_old = profile_of script_old
   and profile_new = profile_of script_new in

@@ -67,18 +67,19 @@ let run listen shards replicas max_attempts backoff_base backoff_cap
       Printf.eprintf "  shard %d: %s\n%!" i (Transport.to_string ep))
     cfg.Router.shards;
   Router.join t;
-  let tt = Router.totals t in
+  let v = Obs.Counter.value in
   Printf.eprintf
     "calibro_router: drained; %d requests, %d forwarded, %d unavailable, \
      %d malformed\n%!"
-    tt.Router.t_requests tt.Router.t_forwarded tt.Router.t_unavailable
-    tt.Router.t_malformed;
+    (v "router.requests.total") (v "router.requests.forwarded")
+    (v "router.requests.unavailable") (v "router.requests.malformed");
   Array.iteri
-    (fun i (s : Router.shard_totals) ->
+    (fun i _ ->
+      let s what = v (Printf.sprintf "router.shard%d.%s" i what) in
       Printf.eprintf
         "  shard %d: forwarded %d, retries %d, failovers %d\n%!" i
-        s.Router.s_forwarded s.Router.s_retries s.Router.s_failovers)
-    tt.Router.t_shards;
+        (s "forwarded") (s "retries") (s "failovers"))
+    cfg.Router.shards;
   Obs.export ~metrics ~trace ();
   exit 0
 

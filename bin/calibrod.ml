@@ -130,26 +130,28 @@ let serve socket tcp workers queue_capacity cache_dir recv_timeout deadline_ms
        pgo_threshold (max 1 pgo_hysteresis)
    | None -> ());
   Server.join t;
-  let tt = Server.totals t in
+  let v what = Obs.Counter.value ("server.requests." ^ what) in
   Printf.eprintf
     "calibrod: drained; %d accepted, %d overloaded, %d malformed, %d \
      stalled, %d refused while draining, %d profile reports\n%!"
-    tt.Server.t_accepted tt.Server.t_overloaded tt.Server.t_malformed
-    tt.Server.t_stalled tt.Server.t_refused_draining tt.Server.t_reports;
-  (match pgo with
-   | None -> ()
-   | Some m ->
-     (* The drain mirrored (and zeroed) the manager's tallies into the
-        pgo.<app>.* counters; read them back for the exit summary. *)
-     List.iter
-       (fun (app, (_ : Pgo.app_totals)) ->
-         let v what = Obs.Counter.value (Printf.sprintf "pgo.%s.%s" app what) in
-         Printf.eprintf
-           "calibrod: pgo %s: %d reports, %d drift-detected, %d relinks, \
-            %d relink cache hits\n%!"
-           app (v "reports") (v "drift_detected") (v "relinks")
-           (v "relink_cache_hits"))
-       (Pgo.Manager.totals m));
+    (v "accepted") (v "overloaded") (v "malformed") (v "stalled")
+    (v "refused_draining") (v "reports");
+  (* one summary line per app that reported: pgo.<app>.reports *)
+  List.iter
+    (fun (name, _) ->
+      if
+        String.starts_with ~prefix:"pgo." name
+        && String.ends_with ~suffix:".reports" name
+      then begin
+        let app = String.sub name 4 (String.length name - 12) in
+        let v what = Obs.Counter.value (Printf.sprintf "pgo.%s.%s" app what) in
+        Printf.eprintf
+          "calibrod: pgo %s: %d reports, %d drift-detected, %d relinks, \
+           %d relink cache hits\n%!"
+          app (v "reports") (v "drift_detected") (v "relinks")
+          (v "relink_cache_hits")
+      end)
+    (Obs.Counter.all ());
   Obs.export ~metrics ~trace ();
   exit 0
 

@@ -8,18 +8,6 @@ open Calibro_core
 open Calibro_workload
 module Profile = Calibro_profile.Profile
 
-let run_script oat (script : Appgen.script) =
-  let t = Calibro_vm.Interp.load oat in
-  List.iter
-    (fun (st : Appgen.script_step) ->
-      for _ = 1 to st.Appgen.sc_repeat do
-        match Calibro_vm.Interp.call t st.Appgen.sc_method st.Appgen.sc_args with
-        | Calibro_vm.Interp.Fault m -> failwith m
-        | _ -> ()
-      done)
-    script;
-  t
-
 let () =
   let a = Appgen.generate Apps.kuaishou in
   let apk = a.Appgen.app in
@@ -27,7 +15,7 @@ let () =
   (* 1. Building by DEX2OAT (baseline). *)
   let base = Pipeline.build ~config:Config.baseline apk in
   (* 2. Running OAT files + 3. profiling by simpleperf. *)
-  let t = run_script base.Pipeline.b_oat script in
+  let t = Appgen.run_script base.Pipeline.b_oat script in
   let profile = Profile.of_interp t in
   let path = Filename.temp_file "calibro" ".profile" in
   (match Profile.save profile path with
@@ -45,7 +33,7 @@ let () =
   let hf =
     Pipeline.build ~config:(Config.cto_ltbo_pl_hf ~k:8 ~hot_methods:hot ()) apk
   in
-  let cycles b = Calibro_vm.Interp.cycles (run_script b.Pipeline.b_oat script) in
+  let cycles b = Calibro_vm.Interp.cycles (Appgen.run_script b.Pipeline.b_oat script) in
   let cb = cycles base and cp = cycles pl and ch = cycles hf in
   Printf.printf "code size: baseline %dB, outlined %dB, hot-filtered %dB\n"
     (Pipeline.text_size base) (Pipeline.text_size pl) (Pipeline.text_size hf);

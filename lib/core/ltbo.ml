@@ -60,12 +60,13 @@ type stats = {
   s_outlined_functions : int;
   s_occurrences_replaced : int;
   s_instructions_saved : int;
+  s_memo_hits : int;
 }
 
 let empty_stats =
   { s_candidate_methods = 0; s_sequence_elements = 0; s_tree_nodes = 0;
     s_repeats_considered = 0; s_outlined_functions = 0;
-    s_occurrences_replaced = 0; s_instructions_saved = 0 }
+    s_occurrences_replaced = 0; s_instructions_saved = 0; s_memo_hits = 0 }
 
 let merge_stats a b =
   { s_candidate_methods = a.s_candidate_methods + b.s_candidate_methods;
@@ -74,7 +75,8 @@ let merge_stats a b =
     s_repeats_considered = a.s_repeats_considered + b.s_repeats_considered;
     s_outlined_functions = a.s_outlined_functions + b.s_outlined_functions;
     s_occurrences_replaced = a.s_occurrences_replaced + b.s_occurrences_replaced;
-    s_instructions_saved = a.s_instructions_saved + b.s_instructions_saved }
+    s_instructions_saved = a.s_instructions_saved + b.s_instructions_saved;
+    s_memo_hits = a.s_memo_hits + b.s_memo_hits }
 
 (* ---- Step 2: detection over one group of methods ---------------------- *)
 
@@ -222,7 +224,8 @@ let detect_uncached ~options (methods : Compiled_method.t array)
       s_repeats_considered = !considered;
       s_outlined_functions = List.length !decisions;
       s_occurrences_replaced = !occ_total;
-      s_instructions_saved = !saved } )
+      s_instructions_saved = !saved;
+      s_memo_hits = 0 } )
 
 (* ---- Detection memoization ---------------------------------------------
 
@@ -333,7 +336,8 @@ let detect_result_of_json (j : Json.t) : (decision list * stats) option =
       ( decisions,
         { s_candidate_methods = a; s_sequence_elements = b; s_tree_nodes = c;
           s_repeats_considered = d; s_outlined_functions = e;
-          s_occurrences_replaced = f; s_instructions_saved = g } )
+          s_occurrences_replaced = f; s_instructions_saved = g;
+          s_memo_hits = 0 } )
   | _ -> None
 
 let detect ?cache ?digest_of ?(scope = "") ~options
@@ -349,7 +353,7 @@ let detect ?cache ?digest_of ?(scope = "") ~options
     match
       Option.bind (Cache.find_json c ~ns:detect_ns key) detect_result_of_json
     with
-    | Some r -> r
+    | Some (ds, st) -> (ds, { st with s_memo_hits = 1 })
     | None ->
       let r = detect_uncached ~options methods group in
       Cache.add_json c ~ns:detect_ns key (detect_result_to_json r);

@@ -41,6 +41,10 @@ type stats = {
   s_outlined_functions : int;
   s_occurrences_replaced : int;
   s_instructions_saved : int;
+  s_memo_hits : int;
+      (** detection groups answered from the cache memo; not part of the
+          memoized result, so a replayed result reads 0 until {!detect}
+          counts its own hit *)
 }
 
 val empty_stats : stats
@@ -63,7 +67,7 @@ val detect :
     ["detect"] namespace under a key built from the cache salt, [?scope],
     the length bounds and each member's canonical token digest
     ({!Seq_map.digest}) — a hit skips sequence mapping, suffix-tree
-    construction and selection entirely. [?digest_of] supplies digests
+    construction and selection entirely, and reads [s_memo_hits = 1]. [?digest_of] supplies digests
     already computed at compile time (global method index -> digest under
     the default eligibility policy); hot methods are always re-digested
     with their actual eligibility.

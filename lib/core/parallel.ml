@@ -69,8 +69,8 @@ let detect_parallel ?max_domains ?cache ?digest_of ?scope ~options
   in
   Obs.Gauge.set "plopti.max_domains" (float_of_int max_domains);
   (* The per-group span runs *inside* the worker, so each PlOpti domain
-     contributes its own trace lane (tid = domain id) and its counter /
-     histogram updates land in that domain's shard, aggregated at join. *)
+     contributes its own trace lane (tid = domain id) and its histogram
+     updates land in that domain's shard, merged after the join. *)
   let detect_group g =
     Obs.span ~cat:"plopti" "plopti.detect_group"
       ~args:(fun () -> [ ("group_methods", Json.Int (List.length g)) ])

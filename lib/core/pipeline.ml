@@ -26,6 +26,7 @@ type build = {
   b_ltbo_stats : Ltbo.stats option;
   b_cto_hits : (string * int) list;   (** summed over methods *)
   b_shelved : int;  (** methods parked on the shelf (0 without [?shelve]) *)
+  b_cache_hits : int;  (** method and detection cache hits this build scored *)
 }
 
 let total_time b = List.fold_left (fun a (_, t) -> a +. t) 0.0 b.b_timings
@@ -122,6 +123,7 @@ let build ?(cache = Lazy.force env_cache) ?(config = Config.baseline) ?dict
      codegen; misses are compiled as before, digested, and stored. The
      token digests feed the LTBO detection memo below. *)
   let digests = Array.make (List.length methods) None in
+  let method_hits = ref 0 in
   let compile_method (m : Dex_ir.meth) =
     let g = Hgraph.of_method m in
     if config.Config.optimize_ir then ignore (Passes.optimize g);
@@ -141,6 +143,7 @@ let build ?(cache = Lazy.force env_cache) ?(config = Config.baseline) ?dict
               in
               match Cache.find_method c key with
               | Some e ->
+                incr method_hits;
                 digests.(i) <- Some e.Cache.ce_token_digest;
                 e.Cache.ce_method
               | None ->
@@ -220,7 +223,10 @@ let build ?(cache = Lazy.force env_cache) ?(config = Config.baseline) ?dict
     b_shelved =
       (match shelve_split with
        | None -> 0
-       | Some s -> Shelve.shelved_count s) }
+       | Some s -> Shelve.shelved_count s);
+    b_cache_hits =
+      !method_hits
+      + (match ltbo_stats with Some s -> s.Ltbo.s_memo_hits | None -> 0) }
 
 (* Convenience: text-segment size, the paper's headline metric. *)
 let text_size b = Oat_file.text_size b.b_oat

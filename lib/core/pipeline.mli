@@ -16,6 +16,12 @@ type build = {
   b_cto_hits : (string * int) list;   (** CTO pattern census, summed *)
   b_shelved : int;
       (** methods parked on the shelf by [?shelve] (0 without a plan) *)
+  b_cache_hits : int;
+      (** cache hits this build scored: method-tier lookups that hit
+          plus detection groups replayed from the memo
+          ({!Ltbo.stats.s_memo_hits}). Counted at this build's own
+          lookups, so concurrent builds on the same cache never leak in;
+          0 without a cache. *)
 }
 
 exception Build_error of string

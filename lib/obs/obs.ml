@@ -25,16 +25,15 @@ type hist_shard = {
   mutable h_retained : int;
 }
 
-(* One shard per domain. Single writer (the owning domain); readers are
-   the snapshot functions, which by contract run only when no worker
-   domain is live. *)
+(* One span and histogram shard per domain. Single writer (the owning
+   domain); readers are the snapshot functions, which by contract run
+   only when no worker domain is live. Counters are not sharded. *)
 type buf = {
   tid : int;
   mutable events : span_event list;  (* newest first *)
   mutable n_events : int;
   mutable dropped : int;
   mutable depth : int;
-  counters : (string, int ref) Hashtbl.t;
   hists : (string, hist_shard) Hashtbl.t;
 }
 
@@ -51,7 +50,6 @@ let buf_key : buf Domain.DLS.key =
           n_events = 0;
           dropped = 0;
           depth = 0;
-          counters = Hashtbl.create 16;
           hists = Hashtbl.create 16 }
       in
       Mutex.lock registry_lock;
@@ -101,23 +99,37 @@ let span ?(cat = "calibro") ?(args = fun () -> []) name f =
 
 (* ---- Counters ----------------------------------------------------------- *)
 
+(* One process-wide atomic cell per name. The name table is an immutable
+   map published through an atomic, so lookups take no lock; only the
+   first use of a name takes [registry_lock] to extend it. *)
 module Counter = struct
-  let add name n =
-    let b = my_buf () in
-    match Hashtbl.find_opt b.counters name with
-    | Some r -> r := !r + n
-    | None -> Hashtbl.replace b.counters name (ref n)
+  module M = Map.Make (String)
 
+  let cells : int Atomic.t M.t Atomic.t = Atomic.make M.empty
+
+  let cell name =
+    match M.find_opt name (Atomic.get cells) with
+    | Some c -> c
+    | None ->
+      locked (fun () ->
+          let m = Atomic.get cells in
+          match M.find_opt name m with
+          | Some c -> c
+          | None ->
+            let c = Atomic.make 0 in
+            Atomic.set cells (M.add name c m);
+            c)
+
+  let add name n = ignore (Atomic.fetch_and_add (cell name) n)
   let incr name = add name 1
 
   let value name =
-    locked (fun () ->
-        List.fold_left
-          (fun acc b ->
-            match Hashtbl.find_opt b.counters name with
-            | Some r -> acc + !r
-            | None -> acc)
-          0 !bufs)
+    match M.find_opt name (Atomic.get cells) with
+    | Some c -> Atomic.get c
+    | None -> 0
+
+  let all () =
+    M.bindings (Atomic.get cells) |> List.map (fun (k, c) -> (k, Atomic.get c))
 end
 
 (* ---- Gauges ------------------------------------------------------------- *)
@@ -216,9 +228,9 @@ let reset () =
           b.events <- [];
           b.n_events <- 0;
           b.dropped <- 0;
-          Hashtbl.reset b.counters;
           Hashtbl.reset b.hists)
         !bufs;
+      Atomic.set Counter.cells Counter.M.empty;
       Hashtbl.reset gauges)
 
 let dropped_events () =
@@ -256,26 +268,7 @@ let span_aggregates evs =
 
 let metrics_json ?(extra = []) () =
   let evs = events () in
-  let counters =
-    locked (fun () ->
-        let names =
-          List.concat_map
-            (fun b -> Hashtbl.fold (fun k _ acc -> k :: acc) b.counters [])
-            !bufs
-          |> List.sort_uniq compare
-        in
-        List.map
-          (fun name ->
-            ( name,
-              Json.Int
-                (List.fold_left
-                   (fun acc b ->
-                     match Hashtbl.find_opt b.counters name with
-                     | Some r -> acc + !r
-                     | None -> acc)
-                   0 !bufs) ))
-          names)
-  in
+  let counters = List.map (fun (k, v) -> (k, Json.Int v)) (Counter.all ()) in
   let gauge_fields =
     locked (fun () ->
         Hashtbl.fold (fun k v acc -> (k, Json.Float v) :: acc) gauges []

@@ -1,24 +1,30 @@
 (** Structured observability for the build pipeline.
 
-    Three instrument families, all safe to use from PlOpti worker domains:
+    Four instrument families:
 
     - {b spans}: nested monotonic-clock intervals ([pipeline.build] >
       [pipeline.ltbo] > [ltbo.detect] > [ltbo.tree_build] ...), recorded
       per domain and exported as Chrome [trace_event] JSON
       (chrome://tracing / Perfetto) and as per-name aggregates;
-    - {b counters} and {b histograms}: sharded per domain (each domain
-      mutates only its own shard, no locks on the hot path) and summed /
-      merged when a snapshot is taken;
+    - {b counters}: one process-wide atomic cell per name;
+    - {b histograms}: sharded per domain (each domain mutates only its
+      own shard, no locks on the hot path) and merged when a snapshot is
+      taken;
     - {b gauges}: last-write-wins point values, written under a lock
       (rare writes only).
 
-    Concurrency contract: a shard has a single writer — the domain that
-    created it. Snapshot functions ({!events}, {!Counter.value},
-    {!metrics_json}, {!trace_json}, {!reset}) read every shard and must
-    therefore run when no worker domain is live, i.e. after the joins.
-    The pipeline joins all PlOpti domains before returning, so callers
-    that snapshot between builds (the bench harness, the fuzz driver,
-    tests) satisfy this by construction.
+    Concurrency contract. Counters and gauges are live-safe:
+    {!Counter.add}, {!Counter.incr} and {!Counter.value} may run from any
+    systhread or domain at any time, and every increment is counted
+    exactly once, so a daemon's counters can be read while it serves.
+    Spans and histograms are not: a shard has a single writer, the
+    domain that created it, and it must not be shared by systhreads of
+    that domain. Their snapshot functions ({!events},
+    {!Histogram.summary}, {!metrics_json}, {!trace_json}, {!reset}) read
+    every shard and must run when no worker domain is live, i.e. after
+    the joins. The pipeline joins all PlOpti domains before returning,
+    so callers that snapshot between builds (the bench harness, the fuzz
+    driver, tests) satisfy this by construction.
 
     Recording is always on; the cost of a span is two clock reads and a
     cons. Per-domain buffers are bounded: past the cap events are dropped
@@ -37,7 +43,11 @@ module Counter : sig
   val incr : string -> unit
 
   val value : string -> int
-  (** Aggregated over all domain shards; 0 if never touched. *)
+  (** The current total; 0 if never touched. Safe to call while other
+      threads and domains add. *)
+
+  val all : unit -> (string * int) list
+  (** Every counter touched since the last {!reset}, sorted by name. *)
 end
 
 module Gauge : sig
@@ -80,7 +90,8 @@ val events : unit -> span_event list
 (** Every recorded span, across all domains, sorted by start time. *)
 
 val reset : unit -> unit
-(** Clear all recorded events, counters, histograms and gauges. *)
+(** Clear all recorded events, counters, histograms and gauges. An add
+    racing the reset may land in the discarded counter cell. *)
 
 val metrics_json : ?extra:(string * Json.t) list -> unit -> Json.t
 (** The flat metrics document CI consumes: [counters], [gauges],

@@ -5,9 +5,8 @@
    Thread model: the manager is called from calibrod's reader threads
    (`report`) and worker domains (`refreshed`, `note_build`,
    `relink_done`) concurrently; one mutex over the whole table keeps
-   every transition atomic. Nothing here touches Obs counters except
-   [mirror_counters], which the server calls once after its workers and
-   readers have stopped. *)
+   every transition atomic. Events are counted in the live-safe
+   pgo.<app>.* Obs counters as they happen. *)
 
 open Calibro_dex.Dex_ir
 module Profile = Calibro_profile.Profile
@@ -66,13 +65,6 @@ module Request = Calibro_core.Request
 
 let key_of (rq : Request.t) = { rq with Request.rq_deadline_ms = None }
 
-type app_totals = {
-  p_reports : int;
-  p_drift_detected : int;
-  p_relinks : int;
-  p_relink_cache_hits : int;
-}
-
 type entry = {
   e_app : string;  (* apk name, for the pgo.<app>.* counters *)
   mutable e_key : Request.t;  (* the request whose OAT clients run *)
@@ -83,11 +75,10 @@ type entry = {
   mutable e_inflight : bool;  (* a relink is queued or running *)
   mutable e_refreshed : (Calibro_oat.Oat_file.t * float) option;
       (* relinked OAT + its build seconds, served to matching Builds *)
-  mutable e_reports : int;
-  mutable e_drift_detected : int;
-  mutable e_relinks : int;
-  mutable e_relink_cache_hits : int;
 }
+
+(* Tallies count the app, not the key: they survive a re-shipped key. *)
+let count e what n = Obs.Counter.add (Printf.sprintf "pgo.%s.%s" e.e_app what) n
 
 module Manager = struct
   type t = {
@@ -113,11 +104,7 @@ module Manager = struct
       e_streak = 0;
       e_streak_prof = [];
       e_inflight = false;
-      e_refreshed = None;
-      e_reports = 0;
-      e_drift_detected = 0;
-      e_relinks = 0;
-      e_relink_cache_hits = 0 }
+      e_refreshed = None }
 
   (* A build of [key] completed normally. First build registers the app;
      a repeat of the same key leaves the drift state alone (the serving
@@ -130,19 +117,8 @@ module Manager = struct
     match Hashtbl.find_opt t.entries digest with
     | None -> Hashtbl.add t.entries digest (fresh_entry ~app ~key ~hot)
     | Some e ->
-      if e.e_key <> key then begin
-        let reports = e.e_reports
-        and drift = e.e_drift_detected
-        and relinks = e.e_relinks
-        and hits = e.e_relink_cache_hits in
-        let e' = fresh_entry ~app ~key ~hot in
-        (* tallies survive a reset: they count the app, not the key *)
-        e'.e_reports <- reports;
-        e'.e_drift_detected <- drift;
-        e'.e_relinks <- relinks;
-        e'.e_relink_cache_hits <- hits;
-        Hashtbl.replace t.entries digest e'
-      end
+      if e.e_key <> key then
+        Hashtbl.replace t.entries digest (fresh_entry ~app ~key ~hot)
 
   (* The refreshed OAT for [key], if a relink has landed since the build
      that [note_build] registered. Only an exact key match may be served
@@ -163,7 +139,7 @@ module Manager = struct
     match Hashtbl.find_opt t.entries digest with
     | None -> Unknown
     | Some e ->
-      e.e_reports <- e.e_reports + 1;
+      count e "reports" 1;
       e.e_acc <- Profile.merge (Profile.decay ~factor:t.cfg.decay e.e_acc)
                    profile;
       let current = Profile.hot_set ~coverage:t.cfg.coverage e.e_acc in
@@ -171,7 +147,7 @@ module Manager = struct
         Drift.score ~profile:e.e_acc ~served:e.e_hot ~current
       in
       if drift > t.cfg.threshold then begin
-        e.e_drift_detected <- e.e_drift_detected + 1;
+        count e "drift_detected" 1;
         e.e_streak <- e.e_streak + 1;
         (* The relink profile is the merge of the streak's reports only:
            all collected after the drift began, so its hot set is the
@@ -210,8 +186,8 @@ module Manager = struct
       e.e_acc <- e.e_streak_prof;
       e.e_streak <- 0;
       e.e_streak_prof <- [];
-      e.e_relinks <- e.e_relinks + 1;
-      e.e_relink_cache_hits <- e.e_relink_cache_hits + max 0 cache_hits;
+      count e "relinks" 1;
+      count e "relink_cache_hits" cache_hits;
       e.e_inflight <- false
 
   (* The relink could not run (build failure, or the admission queue was
@@ -226,40 +202,4 @@ module Manager = struct
       e.e_inflight <- false;
       e.e_streak <- 0;
       e.e_streak_prof <- []
-
-  let totals t =
-    locked t @@ fun () ->
-    Hashtbl.fold
-      (fun _ e acc ->
-        ( e.e_app,
-          { p_reports = e.e_reports;
-            p_drift_detected = e.e_drift_detected;
-            p_relinks = e.e_relinks;
-            p_relink_cache_hits = e.e_relink_cache_hits } )
-        :: acc)
-      t.entries []
-    |> List.sort compare
-
-  (* Mirror the per-app tallies into pgo.<app>.* Obs counters, zeroing
-     them so a second mirror (e.g. two drains) cannot double-count. Obs
-     counters are single-writer-per-domain: call only after the server's
-     readers and workers have stopped, like [Server.drain]'s own
-     mirroring. *)
-  let mirror_counters t =
-    locked t @@ fun () ->
-    Hashtbl.iter
-      (fun _ e ->
-        let c what v =
-          if v > 0 then
-            Obs.Counter.add (Printf.sprintf "pgo.%s.%s" e.e_app what) v
-        in
-        c "reports" e.e_reports;
-        c "drift_detected" e.e_drift_detected;
-        c "relinks" e.e_relinks;
-        c "relink_cache_hits" e.e_relink_cache_hits;
-        e.e_reports <- 0;
-        e.e_drift_detected <- 0;
-        e.e_relinks <- 0;
-        e.e_relink_cache_hits <- 0)
-      t.entries
 end

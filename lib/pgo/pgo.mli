@@ -22,7 +22,15 @@
 
     Hysteresis makes noise harmless: a report scoring under the threshold
     resets the streak, so only a *sustained* shift relinks, and the
-    in-flight latch means at most one relink per detected drift. *)
+    in-flight latch means at most one relink per detected drift.
+
+    Observability: the manager counts each event as it happens in
+    {!Calibro_obs.Obs} counters, safe to read live:
+    [pgo.<app>.reports] (merged reports), [pgo.<app>.drift_detected]
+    (over-threshold reports), [pgo.<app>.relinks] (landed relinks) and
+    [pgo.<app>.relink_cache_hits] (the cache hits those relinks' own
+    builds scored). [<app>] is the apk name; the tallies survive a
+    re-shipped key. *)
 
 open Calibro_dex.Dex_ir
 
@@ -50,17 +58,10 @@ module Drift : sig
       execution time; an empty union scores 0. *)
 end
 
-type app_totals = {
-  p_reports : int;
-  p_drift_detected : int;
-  p_relinks : int;
-  p_relink_cache_hits : int;
-}
-
 module Manager : sig
   type t
   (** Thread-safe: callable from reader threads and worker domains alike
-      (one mutex; no Obs access outside {!mirror_counters}). *)
+      (one mutex). *)
 
   val create : ?config:config -> unit -> t
 
@@ -99,19 +100,12 @@ module Manager : sig
   val relink_done : t -> digest:string -> oat:Calibro_oat.Oat_file.t ->
     build_s:float -> hot:method_ref list -> cache_hits:int -> unit
   (** The queued relink landed: serve [oat] to matching builds, measure
-      drift against [hot] from now on, count [cache_hits] method/detect
-      cache hits the warm rebuild scored. *)
+      drift against [hot] from now on, and add [cache_hits], the
+      method and detection cache hits the relink build scored
+      ({!Calibro_core.Pipeline.build.b_cache_hits}), to
+      [pgo.<app>.relink_cache_hits]. *)
 
   val relink_failed : t -> digest:string -> unit
   (** The queued relink could not run (build failure or full/closed
       admission queue): clear the latch so a later drift can retry. *)
-
-  val totals : t -> (string * app_totals) list
-  (** Per-app tallies so far, sorted by app name; safe to call live. *)
-
-  val mirror_counters : t -> unit
-  (** Add the tallies to the [pgo.<app>.{reports,drift_detected,relinks,
-      relink_cache_hits}] Obs counters and zero them. Single-writer
-      counter discipline: only call once readers and workers have
-      stopped ({!Calibro_server.Server.drain} does). *)
 end

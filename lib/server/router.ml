@@ -149,24 +149,7 @@ let default_config ~listen ~shards =
 
 (* ---- Router state -------------------------------------------------------- *)
 
-type shard = {
-  sh_endpoint : Transport.endpoint;
-  sh_up : bool Atomic.t;
-  sh_forwarded : int Atomic.t;
-  sh_retries : int Atomic.t;
-  sh_failovers : int Atomic.t;
-}
-
-type shard_totals = { s_forwarded : int; s_retries : int; s_failovers : int }
-
-type totals = {
-  t_requests : int;
-  t_forwarded : int;
-  t_unavailable : int;
-  t_malformed : int;
-  t_conn_errors : int;
-  t_shards : shard_totals array;
-}
+type shard = { sh_endpoint : Transport.endpoint; sh_up : bool Atomic.t }
 
 type t = {
   cfg : config;
@@ -181,10 +164,6 @@ type t = {
   mutable health_thread : Thread.t option;
   readers : int Atomic.t;
   jitter : int Atomic.t;  (* per-backoff draw index into the seeded stream *)
-  a_requests : int Atomic.t;
-  a_unavailable : int Atomic.t;
-  a_malformed : int Atomic.t;
-  a_conn_errors : int Atomic.t;
 }
 
 let endpoint t = t.listen_ep
@@ -192,22 +171,8 @@ let draining t = Atomic.get t.stop
 let request_drain t = Atomic.set t.stop true
 let shard_up t i = Atomic.get t.shards.(i).sh_up
 
-let totals t =
-  { t_requests = Atomic.get t.a_requests;
-    t_forwarded =
-      Array.fold_left
-        (fun acc s -> acc + Atomic.get s.sh_forwarded)
-        0 t.shards;
-    t_unavailable = Atomic.get t.a_unavailable;
-    t_malformed = Atomic.get t.a_malformed;
-    t_conn_errors = Atomic.get t.a_conn_errors;
-    t_shards =
-      Array.map
-        (fun s ->
-          { s_forwarded = Atomic.get s.sh_forwarded;
-            s_retries = Atomic.get s.sh_retries;
-            s_failovers = Atomic.get s.sh_failovers })
-        t.shards }
+let count = Obs.Counter.incr
+let count_shard i what = count (Printf.sprintf "router.shard%d.%s" i what)
 
 (* ---- Forwarding ---------------------------------------------------------- *)
 
@@ -281,14 +246,14 @@ let route t client_fd payload =
   in
   let rec go attempt last_failed =
     if attempt > t.cfg.max_attempts then begin
-      Atomic.incr t.a_unavailable;
+      count "router.requests.unavailable";
       respond_quietly client_fd
         (Protocol.encode_response (Protocol.Rejected Protocol.Unavailable))
     end
     else
       match pick ~last_failed with
       | None ->
-        Atomic.incr t.a_unavailable;
+        count "router.requests.unavailable";
         respond_quietly client_fd
           (Protocol.encode_response (Protocol.Rejected Protocol.Unavailable))
       | Some i ->
@@ -296,30 +261,31 @@ let route t client_fd payload =
          | Some l when l <> i ->
            (* The request is leaving the failed shard for a different
               one: that is the failover, charged to the shard lost. *)
-           Atomic.incr t.shards.(l).sh_failovers
+           count_shard l "failovers"
          | _ -> ());
         if attempt > 1 then t.cfg.sleep (backoff_s t ~attempt:(attempt - 1));
         let shard = t.shards.(i) in
         (match try_forward t shard payload with
          | Ok resp ->
            Atomic.set shard.sh_up true;
-           Atomic.incr shard.sh_forwarded;
+           count "router.requests.forwarded";
+           count_shard i "forwarded";
            respond_quietly client_fd resp
          | Error (`Io | `Draining) ->
            Atomic.set shard.sh_up false;
-           Atomic.incr shard.sh_retries;
+           count_shard i "retries";
            go (attempt + 1) (Some i))
   in
   go 1 None
 
 let handle_connection t client_fd =
-  Atomic.incr t.a_requests;
+  count "router.requests.total";
   match Protocol.read_frame client_fd with
   | exception Protocol.Frame_error m ->
-    Atomic.incr t.a_malformed;
+    count "router.requests.malformed";
     respond_quietly client_fd
       (Protocol.encode_response (Protocol.Rejected (Protocol.Malformed m)))
-  | exception Unix.Unix_error _ -> Atomic.incr t.a_malformed
+  | exception Unix.Unix_error _ -> count "router.requests.malformed"
   | payload -> route t client_fd payload
 
 (* ---- Health probing ------------------------------------------------------ *)
@@ -389,7 +355,7 @@ let accept_loop t () =
                      (fun () ->
                        try handle_connection t fd
                        with e when count_as_conn_error e ->
-                         Atomic.incr t.a_conn_errors)))
+                         count "router.conn_errors")))
              ())
       end;
       loop ()
@@ -407,11 +373,7 @@ let create (cfg : config) =
       shards =
         Array.map
           (fun ep ->
-            { sh_endpoint = ep;
-              sh_up = Atomic.make true;
-              sh_forwarded = Atomic.make 0;
-              sh_retries = Atomic.make 0;
-              sh_failovers = Atomic.make 0 })
+            { sh_endpoint = ep; sh_up = Atomic.make true })
           cfg.shards;
       listen_ep;
       listen_fd;
@@ -421,11 +383,7 @@ let create (cfg : config) =
       accept_thread = None;
       health_thread = None;
       readers = Atomic.make 0;
-      jitter = Atomic.make 0;
-      a_requests = Atomic.make 0;
-      a_unavailable = Atomic.make 0;
-      a_malformed = Atomic.make 0;
-      a_conn_errors = Atomic.make 0 }
+      jitter = Atomic.make 0 }
   in
   t.accept_thread <- Some (Thread.create (accept_loop t) ());
   if cfg.health_period_s > 0.0 then
@@ -447,19 +405,6 @@ let drain t =
       Thread.delay 0.001
     done;
     Transport.close_listener t.listen_ep t.listen_fd;
-    let tt = totals t in
-    Obs.Counter.add "router.requests.total" tt.t_requests;
-    Obs.Counter.add "router.requests.forwarded" tt.t_forwarded;
-    Obs.Counter.add "router.requests.unavailable" tt.t_unavailable;
-    Obs.Counter.add "router.requests.malformed" tt.t_malformed;
-    Obs.Counter.add "router.conn_errors" tt.t_conn_errors;
-    Array.iteri
-      (fun i s ->
-        let name field = Printf.sprintf "router.shard%d.%s" i field in
-        Obs.Counter.add (name "forwarded") s.s_forwarded;
-        Obs.Counter.add (name "retries") s.s_retries;
-        Obs.Counter.add (name "failovers") s.s_failovers)
-      tt.t_shards;
     Atomic.set t.drained true
   end
 

@@ -19,10 +19,22 @@
     background health thread (and on the retry path), so a restarted or
     rolling-drained daemon rejoins the ring without router restarts.
 
-    Observability: per-shard [router.shard<i>.{forwarded,retries,
-    failovers}] and router-level [router.requests.*] counters, tallied in
-    atomics while serving and mirrored into {!Calibro_obs.Obs} counters
-    by {!drain} (same single-writer-shard discipline as {!Server}). *)
+    Observability: {!Calibro_obs.Obs} counters, incremented at the event
+    and safe to read live:
+    - [router.requests.total]: client frames read;
+    - [router.requests.forwarded]: responses relayed (the sum of the
+      shards' [forwarded]);
+    - [router.requests.unavailable]: answered [Rejected Unavailable];
+    - [router.requests.malformed]: client frames that were not frames;
+    - [router.conn_errors]: connections dropped by an expected I/O or
+      protocol exception escaping the reader ({!count_as_conn_error});
+    - [router.shard<i>.forwarded]: responses relayed from shard [i];
+    - [router.shard<i>.retries]: forward attempts shard [i] failed;
+    - [router.shard<i>.failovers]: requests re-routed off shard [i].
+
+    A frame read is answered once unless its connection is dropped, so
+    once the readers are done [total] = [forwarded] + [unavailable] +
+    [malformed] + the drops among [conn_errors]. *)
 
 (** The consistent-hash ring, exposed pure for property tests: uniform
     key spread and minimal disruption on shard removal are asserted over
@@ -100,35 +112,13 @@ val request_drain : t -> unit
 val draining : t -> bool
 
 val drain : t -> unit
-(** Stop accepting, let in-flight relays finish, close the listener,
-    mirror the tallies into [router.*] counters. Idempotent. *)
+(** Stop accepting, let in-flight relays finish, close the listener.
+    Idempotent. *)
 
 val join : t -> unit
 val install_sigterm : t -> unit
 
 (** {2 Introspection} *)
-
-type shard_totals = {
-  s_forwarded : int;  (** responses relayed from this shard *)
-  s_retries : int;  (** forward attempts this shard failed *)
-  s_failovers : int;  (** requests re-routed off this shard *)
-}
-
-type totals = {
-  t_requests : int;  (** client frames read *)
-  t_forwarded : int;  (** responses relayed (sum of shard forwarded) *)
-  t_unavailable : int;  (** answered [Rejected Unavailable] *)
-  t_malformed : int;  (** client frames that were not frames *)
-  t_conn_errors : int;
-      (** connections dropped by an expected I/O or protocol exception
-          escaping the reader (see {!count_as_conn_error}) *)
-  t_shards : shard_totals array;
-}
-
-val totals : t -> totals
-(** Live tallies (atomics). After {!drain} they are also mirrored to
-    [router.requests.*], [router.conn_errors] and [router.shard<i>.*]
-    counters. *)
 
 val count_as_conn_error : exn -> bool
 (** The reader-thread drop policy: [true] for the I/O and protocol

@@ -30,16 +30,6 @@ let default_config ~endpoint =
     pgo = None;
     shelve = None }
 
-type totals = {
-  t_accepted : int;
-  t_overloaded : int;
-  t_malformed : int;
-  t_stalled : int;
-  t_refused_draining : int;
-  t_hello : int;
-  t_reports : int;
-}
-
 type t = {
   cfg : config;
   endpoint : Transport.endpoint;  (* resolved: a TCP port-0 bind filled in *)
@@ -52,63 +42,46 @@ type t = {
   mutable accept_thread : Thread.t option;
   readers : int Atomic.t;  (* live connection-reader threads *)
   next_id : int Atomic.t;
-  (* Admission-path tallies. These run on threads that share the creating
-     domain, where the per-domain Obs counter shards are not thread-safe;
-     atomics here, mirrored into counters by [drain]. *)
-  a_accepted : int Atomic.t;
-  a_overloaded : int Atomic.t;
-  a_malformed : int Atomic.t;
-  a_stalled : int Atomic.t;
-  a_refused_draining : int Atomic.t;
-  a_hello : int Atomic.t;
-  a_reports : int Atomic.t;
 }
 
 let endpoint t = t.endpoint
 let draining t = Atomic.get t.stop
 let request_drain t = Atomic.set t.stop true
 
-let totals t =
-  { t_accepted = Atomic.get t.a_accepted;
-    t_overloaded = Atomic.get t.a_overloaded;
-    t_malformed = Atomic.get t.a_malformed;
-    t_stalled = Atomic.get t.a_stalled;
-    t_refused_draining = Atomic.get t.a_refused_draining;
-    t_hello = Atomic.get t.a_hello;
-    t_reports = Atomic.get t.a_reports }
-
 (* ---- Connection handling ------------------------------------------------ *)
 
 (* One reader thread per accepted connection: read one frame, decode,
-   admit or reject. Must not touch Obs counters/histograms/spans (it
-   shares the accept domain's shard with other threads); gauges are fine. *)
+   admit or reject. It counts into [server.requests.*] as it goes; it
+   records no span or histogram (those shards belong to one thread). *)
+let count what = Obs.Counter.incr ("server.requests." ^ what)
+
 let handle_connection t fd =
   if t.cfg.recv_timeout_s > 0.0 then
     Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.cfg.recv_timeout_s;
-  let reject count rejection =
-    Atomic.incr count;
+  let reject what rejection =
+    count what;
     ignore (Worker.respond fd (Protocol.Rejected rejection))
   in
   match Protocol.read_frame fd with
   | exception Protocol.Frame_error m ->
     (* Bad magic / oversized / cut mid-frame. Try to say so — the peer is
        often already gone, which respond absorbs. *)
-    reject t.a_malformed (Protocol.Malformed m)
+    reject "malformed" (Protocol.Malformed m)
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
     (* The client stalled past the receive timeout. *)
-    Atomic.incr t.a_stalled;
+    count "stalled";
     Worker.(ignore (respond fd (Protocol.Rejected Protocol.Deadline_exceeded)))
   | exception Unix.Unix_error _ ->
-    Atomic.incr t.a_stalled;
+    count "stalled";
     (try Unix.close fd with Unix.Unix_error _ -> ())
   | payload -> (
     match Protocol.decode_request payload with
-    | Error m -> reject t.a_malformed (Protocol.Malformed m)
+    | Error m -> reject "malformed" (Protocol.Malformed m)
     | Ok Protocol.Hello ->
       (* The dictionary handshake is answered inline: no compile, no
          queue slot, and it works even while draining (a client must be
          able to learn the digest to decide where to retry). *)
-      Atomic.incr t.a_hello;
+      count "hello";
       ignore
         (Worker.respond fd
            (Protocol.Dict_info
@@ -125,16 +98,16 @@ let handle_connection t fd =
       match t.cfg.pgo with
       | None ->
         (* No PGO manager: no app was ever registered, by definition. *)
-        Atomic.incr t.a_reports;
+        count "reports";
         ignore
           (Worker.respond fd
              (Protocol.Rejected (Protocol.Unknown_app pr_app)))
       | Some m -> (
         match Calibro_profile.Profile.of_string pr_profile with
         | Error e ->
-          reject t.a_malformed (Protocol.Parse_error ("profile: " ^ e))
+          reject "malformed" (Protocol.Parse_error ("profile: " ^ e))
         | Ok profile -> (
-          Atomic.incr t.a_reports;
+          count "reports";
           let draining = Atomic.get t.stop in
           match
             Pgo.Manager.report m ~digest:pr_app ~profile
@@ -165,7 +138,7 @@ let handle_connection t fd =
                  (Protocol.Report_ack
                     { ra_drift = drift; ra_relink = scheduled })))))
     | Ok (Protocol.Build rq) ->
-      if Atomic.get t.stop then reject t.a_refused_draining Protocol.Draining
+      if Atomic.get t.stop then reject "refused_draining" Protocol.Draining
       else begin
         (* Admission applies the daemon's shelving default to requests
            that did not choose for themselves — like the default
@@ -194,9 +167,9 @@ let handle_connection t fd =
               j_accepted_ns = now }
         in
         match Queue.try_push t.queue job with
-        | Queue.Pushed -> Atomic.incr t.a_accepted
-        | Queue.Full -> reject t.a_overloaded Protocol.Overloaded
-        | Queue.Closed -> reject t.a_refused_draining Protocol.Draining
+        | Queue.Pushed -> count "accepted"
+        | Queue.Full -> reject "overloaded" Protocol.Overloaded
+        | Queue.Closed -> reject "refused_draining" Protocol.Draining
       end)
 
 let accept_loop t () =
@@ -253,14 +226,7 @@ let create (cfg : config) =
       drain_lock = Mutex.create ();
       accept_thread = None;
       readers = Atomic.make 0;
-      next_id = Atomic.make 0;
-      a_accepted = Atomic.make 0;
-      a_overloaded = Atomic.make 0;
-      a_malformed = Atomic.make 0;
-      a_stalled = Atomic.make 0;
-      a_refused_draining = Atomic.make 0;
-      a_hello = Atomic.make 0;
-      a_reports = Atomic.make 0 }
+      next_id = Atomic.make 0 }
   in
   t.accept_thread <- Some (Thread.create (accept_loop t) ());
   t
@@ -283,17 +249,6 @@ let drain t =
     Queue.close t.queue;
     Worker.join t.pool;
     Transport.close_listener t.endpoint t.listen_fd;
-    (* Workers and readers are gone: safe to mirror the admission tallies
-       into the (single-writer-per-domain) Obs counters. *)
-    let tt = totals t in
-    Obs.Counter.add "server.requests.accepted" tt.t_accepted;
-    Obs.Counter.add "server.requests.overloaded" tt.t_overloaded;
-    Obs.Counter.add "server.requests.malformed" tt.t_malformed;
-    Obs.Counter.add "server.requests.stalled" tt.t_stalled;
-    Obs.Counter.add "server.requests.refused_draining" tt.t_refused_draining;
-    Obs.Counter.add "server.requests.hello" tt.t_hello;
-    Obs.Counter.add "server.requests.reports" tt.t_reports;
-    Option.iter Pgo.Manager.mirror_counters t.cfg.pgo;
     Obs.Gauge.set "server.queue_depth" 0.0;
     Atomic.set t.drained true
   end

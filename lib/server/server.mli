@@ -9,13 +9,17 @@
     rejection itself ([Overloaded], [Malformed], [Draining]). CPU-bound
     work only ever runs on the worker domains.
 
-    Observability: worker domains record their own counters, histograms
-    and spans (single-writer shards). The admission path — which runs on
-    threads sharing the creating domain — counts through process-local
-    atomics instead, mirrored into [server.requests.*] counters by
-    {!drain} once every thread and worker has stopped, respecting the
-    {!Calibro_obs.Obs} snapshot contract. The queue depth is exported
-    live through the (lock-protected) [server.queue_depth] gauge.
+    Observability: every event increments its {!Calibro_obs.Obs}
+    counter where it happens, and counters are safe to read live. Reader
+    threads count admissions and inline answers in
+    [server.requests.{accepted,overloaded,malformed,stalled,
+    refused_draining,hello,reports}]; workers count each admitted job's
+    outcome in [server.jobs.*]. Every admitted job ends in exactly one
+    outcome, so after the drain [server.requests.accepted] equals the sum
+    of [server.jobs.{ok,cancelled,deadline,parse_error,build_error,
+    dict_mismatch,internal_error,rejected,handler_error}]. Spans and
+    histograms are recorded on the worker domains only. The queue depth
+    is exported live through the [server.queue_depth] gauge.
 
     Graceful drain ({!drain}, or SIGTERM via {!install_sigterm} +
     {!join}): stop accepting, answer nothing new, finish every admitted
@@ -90,20 +94,6 @@ val install_sigterm : t -> unit
 (** Route SIGTERM (and SIGINT) to {!request_drain} on this server. *)
 
 (** {2 Introspection} *)
-
-type totals = {
-  t_accepted : int;  (** requests admitted to the queue *)
-  t_overloaded : int;  (** rejected: queue full *)
-  t_malformed : int;  (** rejected: frame or request did not decode *)
-  t_stalled : int;  (** connections dropped mid-frame or on timeout *)
-  t_refused_draining : int;  (** rejected: arrived during drain *)
-  t_hello : int;  (** dictionary handshakes answered inline *)
-  t_reports : int;  (** profile reports answered inline (any outcome) *)
-}
-
-val totals : t -> totals
-(** Admission-path totals so far (atomics; safe to read live). After
-    {!drain} these are also mirrored to [server.requests.*] counters. *)
 
 val endpoint : t -> Transport.endpoint
 (** The resolved listening endpoint — for a TCP port-0 bind, the

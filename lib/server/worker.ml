@@ -56,20 +56,24 @@ let expired deadline_ns =
   | None -> false
   | Some d -> Int64.compare (Clock.now_ns ()) d > 0
 
+(* Build stats for an OAT: sizes from the container, plus the build
+   time (for an OAT served from the PGO refresh store, the relink's). *)
+let stats_of_oat ~build_s (oat : Calibro_oat.Oat_file.t) =
+  { Protocol.bs_text_size = Calibro_oat.Oat_file.text_size oat;
+    bs_methods = List.length oat.Calibro_oat.Oat_file.methods;
+    bs_thunks = List.length oat.Calibro_oat.Oat_file.thunks;
+    bs_outlined = List.length oat.Calibro_oat.Oat_file.outlined;
+    bs_build_s = build_s }
+
 (* Parse, build, summarize. Every failure mode a request can provoke maps
-   to a typed rejection; nothing escapes. Returns the structured OAT so
-   the serving path can emit the response frame straight from it
+   to a typed rejection; nothing escapes. Returns the whole build record:
+   the serving path emits the response frame straight from its OAT
    ([Protocol.emit_built]) without materializing the container string,
-   plus the effective hot-method set the build used (config hot methods
-   merged with the request profile's) — the PGO loop's "served hot set".
-   [build_response] below re-wraps it for the in-process reference
-   consumers (tests, calibro_load --verify, bench). *)
-let build_oat_hot ~cache ?dict (rq : Protocol.build_request) :
-    ( Calibro_oat.Oat_file.t
-      * Protocol.build_stats
-      * Calibro_dex.Dex_ir.method_ref list,
-      Protocol.rejection )
-    result =
+   its config's hot methods (config hot methods merged with the request
+   profile's) are the PGO loop's "served hot set", and its cache hits are
+   what a relink reports. *)
+let build ~cache ?dict (rq : Protocol.build_request) :
+    (Pipeline.build * Protocol.build_stats, Protocol.rejection) result =
   let ( let* ) = Result.bind in
   let parse_error prefix =
     Result.map_error (fun e -> Protocol.Parse_error (prefix ^ e))
@@ -126,16 +130,7 @@ let build_oat_hot ~cache ?dict (rq : Protocol.build_request) :
     in
     let t0 = Clock.now_ns () in
     let b = Pipeline.build ~cache ~config ?dict ?shelve apk in
-    let build_s = Clock.since_s t0 in
-    let oat = b.Pipeline.b_oat in
-    Ok
-      ( oat,
-        { Protocol.bs_text_size = Calibro_oat.Oat_file.text_size oat;
-          bs_methods = List.length oat.Calibro_oat.Oat_file.methods;
-          bs_thunks = List.length oat.Calibro_oat.Oat_file.thunks;
-          bs_outlined = List.length oat.Calibro_oat.Oat_file.outlined;
-          bs_build_s = build_s },
-        config.Config.hot_methods )
+    Ok (b, stats_of_oat ~build_s:(Clock.since_s t0) b.Pipeline.b_oat)
   with
   | r -> r
   | exception Pipeline.Build_error m -> Error (Protocol.Build_failed m)
@@ -149,9 +144,9 @@ let build_oat_hot ~cache ?dict (rq : Protocol.build_request) :
   | exception e -> Error (Protocol.Internal (Printexc.to_string e))
 
 let build_oat ~cache ?dict rq =
-  match build_oat_hot ~cache ?dict rq with
-  | Ok (oat, stats, _hot) -> Ok (oat, stats)
-  | Error _ as e -> e
+  Result.map (fun (b, stats) -> (b.Pipeline.b_oat, stats)) (build ~cache ?dict rq)
+
+let hot_of (b : Pipeline.build) = b.Pipeline.b_config.Config.hot_methods
 
 let build_response ~cache ?dict (rq : Protocol.build_request) :
     Protocol.response =
@@ -186,25 +181,6 @@ let outcome_counter = function
   | Error (Protocol.Dict_mismatch _) -> "dict_mismatch"
   | Error (Protocol.Internal _) -> "internal_error"
   | Error _ -> "rejected"
-
-(* Build stats for an OAT served from the PGO refresh store: sizes are
-   recomputed from the container, the build time is the relink's. *)
-let stats_of_oat ~build_s (oat : Calibro_oat.Oat_file.t) =
-  { Protocol.bs_text_size = Calibro_oat.Oat_file.text_size oat;
-    bs_methods = List.length oat.Calibro_oat.Oat_file.methods;
-    bs_thunks = List.length oat.Calibro_oat.Oat_file.thunks;
-    bs_outlined = List.length oat.Calibro_oat.Oat_file.outlined;
-    bs_build_s = build_s }
-
-(* Warm-path accounting for the relink: method- and detection-tier cache
-   hits scored across the rebuild. Worker domains may read Obs counters
-   (value aggregates all shards). *)
-let cache_hits_now () =
-  List.fold_left
-    (fun acc name -> acc + Obs.Counter.value name)
-    0
-    [ "cache.method.hits"; "cache.method.disk_hits"; "cache.detect.hits";
-      "cache.detect.disk_hits" ]
 
 let handle_client ~cache ~dict ~pgo (job : client_job) =
   Obs.span ~cat:"server" "server.job"
@@ -253,7 +229,7 @@ let handle_client ~cache ~dict ~pgo (job : client_job) =
       (* The dictionary is read at dispatch time: a job admitted before a
          rotation builds against the dictionary of the moment it runs, and
          the digest check inside [build_oat] keeps the answer honest. *)
-      let result = build_oat_hot ~cache ?dict:(dict ()) job.j_request in
+      let result = build ~cache ?dict:(dict ()) job.j_request in
       (* A result the deadline already passed is useless to the caller:
          report it as exceeded, honestly, rather than as success. *)
       let result =
@@ -267,16 +243,16 @@ let handle_client ~cache ~dict ~pgo (job : client_job) =
          that pipelines Built -> Report must find its app registered, or
          the first report of a fresh connection races into Unknown_app. *)
       (match (result, pgo) with
-      | Ok (oat, _, hot), Some m ->
+      | Ok (b, _), Some m ->
         let rq = job.j_request in
         Pgo.Manager.note_build m
           ~digest:(Chash.string rq.Protocol.rq_dexsim)
-          ~app:oat.Calibro_oat.Oat_file.apk_name
-          ~key:rq ~hot
+          ~app:b.Pipeline.b_oat.Calibro_oat.Oat_file.apk_name
+          ~key:rq ~hot:(hot_of b)
       | _ -> ());
       let delivered =
         match result with
-        | Ok (oat, stats, _) -> respond_built job.j_fd ~oat ~stats
+        | Ok (b, stats) -> respond_built job.j_fd ~oat:b.Pipeline.b_oat ~stats
         | Error rej -> respond job.j_fd (Protocol.Rejected rej)
       in
       if not delivered then Obs.Counter.incr "server.responses.lost";
@@ -301,17 +277,14 @@ let handle_relink ~cache ~dict ~pgo (job : relink_job) =
     Obs.span ~cat:"server" "server.relink"
       ~args:(fun () -> [ ("app", Json.Str (Chash.to_hex job.r_digest)) ])
     @@ fun () ->
-    let hits0 = cache_hits_now () in
-    (match
-       build_oat_hot ~cache ?dict:(dict ()) job.r_request
-     with
-     | Ok (oat, stats, hot) ->
-       Pgo.Manager.relink_done m ~digest:job.r_digest ~oat
-         ~build_s:stats.Protocol.bs_build_s ~hot
-         ~cache_hits:(cache_hits_now () - hits0)
-     | Error _ ->
-       Obs.Counter.incr "server.jobs.relink_failed";
-       Pgo.Manager.relink_failed m ~digest:job.r_digest)
+    match build ~cache ?dict:(dict ()) job.r_request with
+    | Ok (b, stats) ->
+      Pgo.Manager.relink_done m ~digest:job.r_digest ~oat:b.Pipeline.b_oat
+        ~build_s:stats.Protocol.bs_build_s ~hot:(hot_of b)
+        ~cache_hits:b.Pipeline.b_cache_hits
+    | Error _ ->
+      Obs.Counter.incr "server.jobs.relink_failed";
+      Pgo.Manager.relink_failed m ~digest:job.r_digest
 
 let handle ~cache ~dict ~pgo (job : job) =
   match job with

@@ -18,9 +18,9 @@
     exceeded, not as success). A job whose client hung up while queued is
     cancelled without compiling.
 
-    Each worker is a single-threaded domain, so it may freely use the
-    per-domain {!Calibro_obs.Obs} counters, histograms and spans; all of
-    its instrumentation lands in its own shard and its trace lane. *)
+    Each worker is a single-threaded domain, so its histograms and spans
+    land in its own {!Calibro_obs.Obs} shard and trace lane; its
+    [server.jobs.*] counters are the process-wide, live-readable ones. *)
 
 type client_job = {
   j_id : int;
@@ -86,6 +86,15 @@ val build_oat :
     [rq_dict = None] builds self-contained regardless; [Some want] must
     equal [dict]'s digest exactly or the answer is a typed
     [Dict_mismatch] carrying both digests. *)
+
+val build :
+  cache:Calibro_cache.Cache.t option -> ?dict:Calibro_oat.Linker.dict ->
+  Protocol.build_request ->
+  (Calibro_core.Pipeline.build * Protocol.build_stats, Protocol.rejection)
+  result
+(** {!build_oat} keeping the whole build record. A relink reports its
+    {!Calibro_core.Pipeline.build.b_cache_hits} and serves its config's
+    hot methods (the request's merged with its profile's hot set). *)
 
 val build_response :
   cache:Calibro_cache.Cache.t option -> ?dict:Calibro_oat.Linker.dict ->

@@ -487,3 +487,23 @@ let generate (p : profile) : app =
              sc_repeat = p.p_script_repeats })
   in
   { app = apk; app_script = script; app_profile = p }
+
+(* ---- Script replay ------------------------------------------------------ *)
+
+(* Load [oat] in the simulator and run each step of [script] [sc_repeat]
+   times, failing on the first machine fault. Returns the interpreter, for
+   its cycles, resident bytes or profile. *)
+let run_script ?dict oat script =
+  let t = Calibro_vm.Interp.load ?dict oat in
+  List.iter
+    (fun st ->
+      for _ = 1 to st.sc_repeat do
+        match Calibro_vm.Interp.call t st.sc_method st.sc_args with
+        | Calibro_vm.Interp.Fault m ->
+          failwith
+            (Printf.sprintf "script fault in %s: %s"
+               (method_ref_to_string st.sc_method) m)
+        | _ -> ()
+      done)
+    script;
+  t

@@ -21,14 +21,9 @@ let pl8 = Config.cto_ltbo_pl ~k:8 ()
    it — enables the HfOpti row of the matrix. *)
 let demo_hot (a : Appgen.app) =
   let b = Pipeline.build ~cache:None ~config:Config.baseline a.Appgen.app in
-  let t = Calibro_vm.Interp.load b.Pipeline.b_oat in
-  List.iter
-    (fun (st : Appgen.script_step) ->
-      for _ = 1 to st.Appgen.sc_repeat do
-        ignore (Calibro_vm.Interp.call t st.Appgen.sc_method st.Appgen.sc_args)
-      done)
-    a.Appgen.app_script;
-  Calibro_profile.Profile.hot_set (Calibro_profile.Profile.of_interp t)
+  Calibro_profile.Profile.hot_set
+    (Calibro_profile.Profile.of_interp
+       (Appgen.run_script b.Pipeline.b_oat a.Appgen.app_script))
 
 (* Fresh temp directory for the disk tier, removed afterwards. *)
 let tmp_counter = ref 0

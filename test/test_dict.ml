@@ -377,8 +377,11 @@ let rotation_tests =
               let r' = detect () in
               Alcotest.(check (pair int int)) (name ^ ": second lookup hits")
                 (1, 0) (hits () - h1, misses () - m1);
+              let ds', st' = r' in
+              Alcotest.(check int) (name ^ ": the hit is counted") 1
+                st'.Ltbo.s_memo_hits;
               Alcotest.(check bool) (name ^ ": hit replays the result") true
-                (r = r');
+                (r = (ds', { st' with Ltbo.s_memo_hits = 0 }));
               r)
             scopes
         in

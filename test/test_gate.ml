@@ -14,7 +14,6 @@ let rows =
     row [ "app"; "reduction" ] [ "app"; "reduction" ] (Near_floor 0.001);
     row [ "tput" ] [ "tput_floor" ] (Floor (Round (1. /. 3., 2), 0.75));
     row [ "p95" ] [ "p95_envelope" ] (Envelope (Round (3., 3), 1.25));
-    row [ "hits" ] [ "hits_floor" ] (Floor (Half_count, 1.));
     row [ "ratio" ] [ "ratio_envelope" ] (Envelope (Pad 3, 1.));
     row [ "rate" ] [ "rate_floor" ] (Floor (Pad 3, 1.));
     row [ "degradation" ] [ "degradation_envelope" ] (Envelope (Const 4.6, 1.));
@@ -28,7 +27,6 @@ let measurement =
     ([ "app"; "reduction" ], Json.Float 0.25);
     ([ "tput" ], Json.Float 24.);
     ([ "p95" ], Json.Float 0.5);
-    ([ "hits" ], Json.Int 101);
     ([ "ratio" ], Json.Float 2.0904);
     ([ "rate" ], Json.Float 0.9224);
     ([ "degradation" ], Json.Float 0.);
@@ -66,7 +64,6 @@ let test_written () =
             ([ "app"; "reduction" ], Json.Float 0.25);
             ([ "tput_floor" ], Json.Float 8.);
             ([ "p95_envelope" ], Json.Float 1.5);
-            ([ "hits_floor" ], Json.Int 50);
             ([ "ratio_envelope" ], Json.Float 2.091);
             ([ "rate_floor" ], Json.Float 0.921);
             ([ "degradation_envelope" ], Json.Float 4.6);
@@ -85,7 +82,6 @@ let edges =
       [ "app"; "reduction" ] );
     ([ "tput" ], Json.Float 6., Json.Float 5.99, [ "tput_floor" ]);
     ([ "p95" ], Json.Float 1.875, Json.Float 1.876, [ "p95_envelope" ]);
-    ([ "hits" ], Json.Int 50, Json.Int 49, [ "hits_floor" ]);
     ([ "ratio" ], Json.Float 2.091, Json.Float 2.092, [ "ratio_envelope" ]);
     ([ "rate" ], Json.Float 0.921, Json.Float 0.92, [ "rate_floor" ]);
     ( [ "degradation" ], Json.Float 4.6, Json.Float 4.61,

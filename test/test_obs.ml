@@ -85,6 +85,48 @@ let test_counter_across_domains () =
   Alcotest.(check int) "summed over 2 worker shards + main" 2005
     (Obs.Counter.value name)
 
+(* Counters are live-safe: systhreads of several domains add to one name
+   while a reader polls it, and the total is exact. *)
+let test_counter_threads_and_domains () =
+  Obs.reset ();
+  let name = "obs.test.live" and per_thread = 20_000 and threads = 3 in
+  let adders () =
+    List.init threads (fun _ ->
+        Thread.create
+          (fun () ->
+            for i = 1 to per_thread do
+              Obs.Counter.incr name;
+              if i mod 256 = 0 then Thread.yield ()
+            done)
+          ())
+  in
+  let running = Atomic.make true and reads = ref [] in
+  let reader =
+    Thread.create
+      (fun () ->
+        while Atomic.get running do
+          reads := Obs.Counter.value name :: !reads;
+          Thread.yield ()
+        done)
+      ()
+  in
+  let domains =
+    List.init 2 (fun _ -> Domain.spawn (fun () -> List.iter Thread.join (adders ())))
+  in
+  List.iter Thread.join (adders ());
+  List.iter Domain.join domains;
+  Atomic.set running false;
+  Thread.join reader;
+  let total = 3 * threads * per_thread in
+  Alcotest.(check int) "every add counted once" total (Obs.Counter.value name);
+  let reads = List.rev !reads in
+  Alcotest.(check bool) "live reads were taken" true (reads <> []);
+  Alcotest.(check bool) "live reads never decrease, never overshoot" true
+    (fst
+       (List.fold_left
+          (fun (ok, prev) v -> (ok && v >= prev && v <= total, v))
+          (true, 0) reads))
+
 let test_span_tids_per_domain () =
   Obs.reset ();
   Obs.span "main-span" (fun () -> ());
@@ -325,4 +367,6 @@ let suite =
     Alcotest.test_case "metrics snapshot exports every family" `Quick
       test_metrics_json;
     Alcotest.test_case "b_timings is a view of the phase spans" `Quick
-      test_pipeline_timings_match_spans ]
+      test_pipeline_timings_match_spans;
+    Alcotest.test_case "counters are exact under threads and domains" `Quick
+      test_counter_threads_and_domains ]

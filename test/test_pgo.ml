@@ -205,9 +205,22 @@ let report_ack m ~digest p =
   | Pgo.Manager.Unknown -> Alcotest.fail "report: Unknown for registered app"
   | Pgo.Manager.Ack { drift; relink } -> (drift, relink)
 
+(* [tallies app] snapshots the pgo.<app>.* counters; the returned
+   function reads one counter's delta since the snapshot. *)
+let tallies app =
+  let v what =
+    Calibro_obs.Obs.Counter.value (Printf.sprintf "pgo.%s.%s" app what)
+  in
+  let base =
+    List.map (fun w -> (w, v w))
+      [ "reports"; "drift_detected"; "relinks"; "relink_cache_hits" ]
+  in
+  fun what -> v what - List.assoc what base
+
 let hysteresis_noise_never_fires () =
   (* 500 seeded reports of the same regime with +/-1-cycle noise: the
      hot set cannot move, drift stays ~0, no relink may ever schedule. *)
+  let delta = tallies "Noise" in
   let m = Pgo.Manager.create () in
   let digest = "app-digest" in
   Pgo.Manager.note_build m ~digest ~app:"Noise" ~key
@@ -227,13 +240,9 @@ let hysteresis_noise_never_fires () =
     if relink <> None then
       Alcotest.failf "noise report %d scheduled a relink (drift %.3f)" i drift
   done;
-  match Pgo.Manager.totals m with
-  | [ (app, t) ] ->
-    Alcotest.(check string) "app" "Noise" app;
-    Alcotest.(check int) "reports counted" 500 t.Pgo.p_reports;
-    Alcotest.(check int) "no drift detected" 0 t.Pgo.p_drift_detected;
-    Alcotest.(check int) "no relinks" 0 t.Pgo.p_relinks
-  | l -> Alcotest.failf "expected one app, got %d" (List.length l)
+  Alcotest.(check int) "reports counted" 500 (delta "reports");
+  Alcotest.(check int) "no drift detected" 0 (delta "drift_detected");
+  Alcotest.(check int) "no relinks" 0 (delta "relinks")
 
 let drifted_profile =
   (* The regime flip: yesterday's cold tail is today's hot set. *)
@@ -321,6 +330,7 @@ let drain_never_schedules () =
       ~config:{ Pgo.default_config with Pgo.hysteresis = 1 } ()
   in
   let digest = "app-digest" in
+  let delta = tallies "Drain" in
   Pgo.Manager.note_build m ~digest ~app:"Drain" ~key
     ~hot:(Profile.hot_set base_profile);
   for _ = 1 to 5 do
@@ -332,12 +342,9 @@ let drain_never_schedules () =
     | Pgo.Manager.Ack { relink; _ } ->
       Alcotest.(check bool) "draining never schedules" true (relink = None)
   done;
-  match Pgo.Manager.totals m with
-  | [ (_, t) ] ->
-    Alcotest.(check int) "reports still counted" 5 t.Pgo.p_reports;
-    Alcotest.(check bool) "drift still detected" true
-      (t.Pgo.p_drift_detected > 0)
-  | _ -> Alcotest.fail "one app expected"
+  Alcotest.(check int) "reports still counted" 5 (delta "reports");
+  Alcotest.(check bool) "drift still detected" true
+    (delta "drift_detected" > 0)
 
 let relink_failed_releases_latch () =
   let m =
@@ -365,6 +372,7 @@ let key_ignores_deadline () =
       ~config:{ Pgo.default_config with Pgo.hysteresis = 3 } ()
   in
   let digest = "app-digest" in
+  let delta = tallies "Deadline" in
   let with_deadline ms = { key with Request.rq_deadline_ms = Some ms } in
   let note k =
     Pgo.Manager.note_build m ~digest ~app:"Deadline" ~key:k
@@ -405,9 +413,7 @@ let key_ignores_deadline () =
     (Pgo.Manager.refreshed m ~digest
        ~key:{ key with Request.rq_profile = Some "" }
      = None);
-  match Pgo.Manager.totals m with
-  | [ (_, t) ] -> Alcotest.(check int) "one relink" 1 t.Pgo.p_relinks
-  | l -> Alcotest.failf "expected one app entry, got %d" (List.length l)
+  Alcotest.(check int) "one relink" 1 (delta "relinks")
 
 let suite =
   List.map (QCheck_alcotest.to_alcotest ~long:false)

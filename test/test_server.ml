@@ -26,6 +26,30 @@ module Transport = Calibro_server.Transport
 module Fault = Calibro_check.Fault
 module Fixture = Calibro_check.Fault.Server.Fixture
 module Chash = Calibro_chash.Chash
+module Obs = Calibro_obs.Obs
+
+(* Counters are process-wide, so every assertion reads a delta: [deltas
+   ()] snapshots them all, and the returned function reads one counter's
+   change since the snapshot. *)
+let deltas () =
+  let base = Obs.Counter.all () in
+  fun name ->
+    Obs.Counter.value name
+    - Option.value ~default:0 (List.assoc_opt name base)
+
+(* A reader thread may count an admission just after its job was
+   answered, so a live read right after the clients return polls until
+   the expected value shows up (for at most 5 s) before it checks. *)
+let check_eventually msg expected read =
+  let rec go n =
+    let v = read () in
+    if v = expected || n = 0 then v
+    else begin
+      Thread.delay 0.01;
+      go (n - 1)
+    end
+  in
+  Alcotest.(check int) msg expected (go 500)
 
 let demo_app = lazy (Appgen.generate Apps.demo)
 
@@ -520,14 +544,8 @@ let queue_tests =
 let demo_hot () =
   let a = Lazy.force demo_app in
   let b = Pipeline.build ~cache:None ~config:Config.baseline a.Appgen.app in
-  let t = Calibro_vm.Interp.load b.Pipeline.b_oat in
-  List.iter
-    (fun (st : Appgen.script_step) ->
-      for _ = 1 to st.Appgen.sc_repeat do
-        ignore (Calibro_vm.Interp.call t st.Appgen.sc_method st.Appgen.sc_args)
-      done)
-    a.Appgen.app_script;
-  Calibro_profile.Profile.of_interp t
+  Calibro_profile.Profile.of_interp
+    (Appgen.run_script b.Pipeline.b_oat a.Appgen.app_script)
 
 let serve_tests =
   [ Alcotest.test_case
@@ -571,6 +589,7 @@ let serve_tests =
         (* One worker, one queue slot, a burst of concurrent requests:
            some build, at least one must be refused with Overloaded — and
            every request gets *an* answer (nothing hangs, nothing dies). *)
+        let delta = deltas () in
         with_server ~workers:1 ~queue_capacity:1 @@ fun t ->
         let n = 12 in
         let outcomes = Array.make n (Error "not run") in
@@ -602,9 +621,9 @@ let serve_tests =
           (Printf.sprintf "some refused (built %d, overloaded %d)" !built
              !overloaded)
           true (!overloaded >= 1);
-        let tt = Server.totals t in
-        Alcotest.(check int) "admission tallies cover the burst" n
-          (tt.Server.t_accepted + tt.Server.t_overloaded));
+        check_eventually "admission tallies cover the burst" n (fun () ->
+            delta "server.requests.accepted"
+            + delta "server.requests.overloaded"));
     Alcotest.test_case "an expired deadline is answered, not built" `Quick
       (fun () ->
         with_server @@ fun t ->
@@ -857,6 +876,7 @@ let fault_tests =
         assert_still_serving t);
     Alcotest.test_case "stall-mid-frame is reaped by the receive timeout"
       `Quick (fun () ->
+        let delta = deltas () in
         with_server ~recv_timeout_s:0.2 @@ fun t ->
         Fault.Server.inject Fault.Server.Stall_mid_frame;
         let frame =
@@ -868,11 +888,10 @@ let fault_tests =
         Thread.delay 0.5;
         assert_still_serving t;
         Unix.close fd;
-        let tt = Server.totals t in
+        let stalled = delta "server.requests.stalled" in
         Alcotest.(check bool)
-          (Printf.sprintf "stall counted (stalled %d)" tt.Server.t_stalled)
-          true
-          (tt.Server.t_stalled >= 1));
+          (Printf.sprintf "stall counted (stalled %d)" stalled)
+          true (stalled >= 1));
     Alcotest.test_case "a poisoned job fails only its own request" `Quick
       (fun () ->
         with_server @@ fun t ->
@@ -993,19 +1012,19 @@ let router_tests =
             with_router
               ~shards:[ Fixture.endpoint bad; Fixture.endpoint good ]
               (fun t sleeps ->
+                let delta = deltas () in
                 let payload = payload_routed_to ~replicas:32 ~shards:2 0 in
                 Alcotest.check rejection_answer "served by the survivor"
                   (Ok (Protocol.Rejected (Protocol.Internal "good")))
                   (raw_request (Router.endpoint t) payload);
                 Alcotest.(check bool) "bad shard marked down" false
                   (Router.shard_up t 0);
-                let tt = Router.totals t in
                 Alcotest.(check int) "bad shard charged the retry" 1
-                  tt.Router.t_shards.(0).Router.s_retries;
+                  (delta "router.shard0.retries");
                 Alcotest.(check int) "bad shard charged the failover" 1
-                  tt.Router.t_shards.(0).Router.s_failovers;
+                  (delta "router.shard0.failovers");
                 Alcotest.(check int) "survivor forwarded it" 1
-                  tt.Router.t_shards.(1).Router.s_forwarded;
+                  (delta "router.shard1.forwarded");
                 (* One backoff draw, within the attempt-1 ceiling; the
                    sleep was injected, so the test never actually waited. *)
                 (match !sleeps with
@@ -1027,6 +1046,7 @@ let router_tests =
             with_router
               ~shards:[ Fixture.endpoint stall; Fixture.endpoint good ]
               (fun t _sleeps ->
+                let delta = deltas () in
                 let payload = payload_routed_to ~replicas:32 ~shards:2 0 in
                 let answer = Atomic.make (Error "not run") in
                 let client =
@@ -1045,9 +1065,8 @@ let router_tests =
                 Alcotest.check rejection_answer "served by the survivor"
                   (Ok (Protocol.Rejected (Protocol.Internal "good")))
                   (Atomic.get answer);
-                let tt = Router.totals t in
                 Alcotest.(check int) "stalled shard charged the failover" 1
-                  tt.Router.t_shards.(0).Router.s_failovers)));
+                  (delta "router.shard0.failovers"))));
     Alcotest.test_case "a shard dying after k responses loses only later work"
       `Quick (fun () ->
         let flaky =
@@ -1061,6 +1080,7 @@ let router_tests =
             with_router
               ~shards:[ Fixture.endpoint flaky; Fixture.endpoint good ]
               (fun t _sleeps ->
+                let delta = deltas () in
                 let payload = payload_routed_to ~replicas:32 ~shards:2 0 in
                 Alcotest.check rejection_answer "first request served in place"
                   (Ok (Protocol.Rejected (Protocol.Internal "flaky")))
@@ -1071,27 +1091,27 @@ let router_tests =
                   (raw_request (Router.endpoint t) payload);
                 Alcotest.(check int) "fixture died after exactly 1 response" 1
                   (Fixture.served flaky);
-                let tt = Router.totals t in
                 Alcotest.(check int) "dead shard served the first" 1
-                  tt.Router.t_shards.(0).Router.s_forwarded;
+                  (delta "router.shard0.forwarded");
                 Alcotest.(check int) "dead shard charged one failover" 1
-                  tt.Router.t_shards.(0).Router.s_failovers;
+                  (delta "router.shard0.failovers");
                 Alcotest.(check int) "survivor served the second" 1
-                  tt.Router.t_shards.(1).Router.s_forwarded)));
+                  (delta "router.shard1.forwarded"))));
     Alcotest.test_case "all shards down answers typed Unavailable" `Quick
       (fun () ->
         with_router ~max_attempts:3
           ~shards:[ dead_endpoint (); dead_endpoint () ]
           (fun t sleeps ->
+            let delta = deltas () in
             Alcotest.check rejection_answer "typed, not a hang or a drop"
               (Ok (Protocol.Rejected Protocol.Unavailable))
               (raw_request (Router.endpoint t) "anything");
-            let tt = Router.totals t in
-            Alcotest.(check int) "counted unavailable" 1 tt.Router.t_unavailable;
+            Alcotest.(check int) "counted unavailable" 1
+              (delta "router.requests.unavailable");
             Alcotest.(check int) "all attempts were retries" 3
-              (tt.Router.t_shards.(0).Router.s_retries
-               + tt.Router.t_shards.(1).Router.s_retries);
-            Alcotest.(check int) "nothing forwarded" 0 tt.Router.t_forwarded;
+              (delta "router.shard0.retries" + delta "router.shard1.retries");
+            Alcotest.(check int) "nothing forwarded" 0
+              (delta "router.requests.forwarded");
             (* max_attempts - 1 backoffs, capped exponential: ceilings
                base, 2*base — every draw within its ceiling. *)
             let ds = List.rev !sleeps in
@@ -1133,6 +1153,7 @@ let router_tests =
           ~finally:(fun () -> Fixture.stop good)
           (fun () ->
             with_router ~shards:[ Fixture.endpoint good ] (fun t _sleeps ->
+                let delta = deltas () in
                 let fd = Transport.connect (Router.endpoint t) in
                 write_all fd "GET / HTTP/1.1\r\n\r\n";
                 (match Protocol.read_frame fd with
@@ -1143,8 +1164,8 @@ let router_tests =
                    | Error e -> Alcotest.failf "unreadable answer: %s" e)
                  | exception Protocol.Frame_error _ -> ());
                 (try Unix.close fd with Unix.Unix_error _ -> ());
-                let tt = Router.totals t in
-                Alcotest.(check int) "counted malformed" 1 tt.Router.t_malformed)));
+                Alcotest.(check int) "counted malformed" 1
+                  (delta "router.requests.malformed"))));
     Alcotest.test_case "count_as_conn_error separates peer I/O from bugs"
       `Quick (fun () ->
         (* The reader-thread drop policy, pinned: peer-inducible I/O and
@@ -1175,8 +1196,7 @@ let router_tests =
            [try ... with _ -> ()]. Provoke an expected-class escape — the
            injected backoff sleep raises Unix_error once the lone dead
            shard forces a retry — and demand the dropped connection shows
-           up in [t_conn_errors] and, after drain, in the
-           [router.conn_errors] counter. *)
+           up in the [router.conn_errors] counter, live and after drain. *)
         let cfg =
           { (Router.default_config
                ~listen:(fresh_endpoint ())
@@ -1189,7 +1209,7 @@ let router_tests =
           }
         in
         let t = Router.create cfg in
-        let c0 = Calibro_obs.Obs.Counter.value "router.conn_errors" in
+        let delta = deltas () in
         Fun.protect
           ~finally:(fun () ->
             Router.request_drain t;
@@ -1199,11 +1219,11 @@ let router_tests =
             | Ok _ | Error _ ->
               Alcotest.fail "connection was answered, not dropped"
             | exception Protocol.Frame_error _ -> ());
-            let tt = Router.totals t in
-            Alcotest.(check int) "drop counted" 1 tt.Router.t_conn_errors;
-            Alcotest.(check int) "nothing forwarded" 0 tt.Router.t_forwarded);
-        Alcotest.(check int) "mirrored to router.conn_errors at drain" 1
-          (Calibro_obs.Obs.Counter.value "router.conn_errors" - c0))
+            Alcotest.(check int) "drop counted" 1 (delta "router.conn_errors");
+            Alcotest.(check int) "nothing forwarded" 0
+              (delta "router.requests.forwarded"));
+        Alcotest.(check int) "not counted again at drain" 1
+          (delta "router.conn_errors"))
   ]
 
 (* ---- End-to-end byte-identity across transports --------------------------- *)
@@ -1269,6 +1289,10 @@ let e2e_tests =
           ~finally:(fun () -> drain 0; drain 1)
           (fun () ->
             with_router ~replicas:128 ~shards (fun t _sleeps ->
+                let delta = deltas () in
+                let shard i what =
+                  delta (Printf.sprintf "router.shard%d.%s" i what)
+                in
                 let routed =
                   List.map
                     (fun rq ->
@@ -1286,11 +1310,10 @@ let e2e_tests =
                     (Chash.string
                        (List.hd matrix).Protocol.rq_dexsim)
                 in
-                let before = Router.totals t in
                 Alcotest.(check int)
                   "shard affinity: one owner served the whole matrix"
                   (List.length matrix)
-                  before.Router.t_shards.(owner).Router.s_forwarded;
+                  (shard owner "forwarded");
                 (* The forced failover: take the owner down, re-ask. *)
                 drain owner;
                 (match
@@ -1301,21 +1324,18 @@ let e2e_tests =
                    Alcotest.check response "post-failover bytes"
                      (List.hd expected) resp
                  | Error m -> Alcotest.failf "post-failover transport: %s" m);
-                let tt = Router.totals t in
                 Alcotest.(check bool) "owner charged a failover" true
-                  (tt.Router.t_shards.(owner).Router.s_failovers >= 1);
+                  (shard owner "failovers" >= 1);
                 Alcotest.(check int) "survivor served the retry" 1
-                  tt.Router.t_shards.(1 - owner).Router.s_forwarded;
+                  (shard (1 - owner) "forwarded");
                 Alcotest.(check int) "every client frame accounted"
-                  tt.Router.t_requests
-                  (tt.Router.t_forwarded + tt.Router.t_unavailable
-                  + tt.Router.t_malformed);
+                  (delta "router.requests.total")
+                  (delta "router.requests.forwarded"
+                  + delta "router.requests.unavailable"
+                  + delta "router.requests.malformed");
                 Alcotest.(check int) "forwarded = per-shard sum"
-                  tt.Router.t_forwarded
-                  (Array.fold_left
-                     (fun acc (s : Router.shard_totals) ->
-                       acc + s.Router.s_forwarded)
-                     0 tt.Router.t_shards))))
+                  (delta "router.requests.forwarded")
+                  (shard 0 "forwarded" + shard 1 "forwarded"))))
   ]
 
 (* ---- The shared-dictionary service path ----------------------------------- *)
@@ -1512,6 +1532,7 @@ let drain_tests =
             with_router
               ~shards:(Array.to_list (Array.map Fixture.endpoint fixtures))
               (fun t _sleeps ->
+                let delta = deltas () in
                 let payload = payload_routed_to ~replicas:32 ~shards:3 0 in
                 let ask () = raw_request (Router.endpoint t) payload in
                 let expect_served step =
@@ -1536,11 +1557,10 @@ let drain_tests =
                 (match ask () with
                  | Ok (Protocol.Rejected Protocol.Unavailable) -> ()
                  | _ -> Alcotest.fail "all drained: expected Unavailable");
-                let tt = Router.totals t in
                 Alcotest.(check int) "three served, one unavailable"
-                  3 tt.Router.t_forwarded;
+                  3 (delta "router.requests.forwarded");
                 Alcotest.(check int) "unavailable counted once" 1
-                  tt.Router.t_unavailable))) ]
+                  (delta "router.requests.unavailable")))) ]
 
 (* ---- The PGO feedback loop over the wire ---------------------------------- *)
 
@@ -1568,19 +1588,8 @@ let drift_fixture =
      and s_new = weighted (fun i -> if i < half then 16 else 1) in
      let b = Pipeline.build ~cache:None ~config:Config.baseline apk in
      let prof script =
-       let t = Calibro_vm.Interp.load b.Pipeline.b_oat in
-       List.iter
-         (fun (st : Appgen.script_step) ->
-           for _ = 1 to st.Appgen.sc_repeat do
-             match
-               Calibro_vm.Interp.call t st.Appgen.sc_method st.Appgen.sc_args
-             with
-             | Calibro_vm.Interp.Fault m ->
-               Alcotest.failf "drift fixture script fault: %s" m
-             | _ -> ()
-           done)
-         script;
-       Profile.to_string (Profile.of_interp t)
+       Profile.to_string
+         (Profile.of_interp (Appgen.run_script b.Pipeline.b_oat script))
      in
      (Calibro_dex.Dex_text.to_string apk, prof s_old, prof s_new))
 
@@ -1641,6 +1650,7 @@ let pgo_tests =
            without --pgo must all be refused typed — with the daemon
            still serving and nothing scheduled. *)
         let pgo = Pgo.Manager.create () in
+        let delta = deltas () in
         with_server ~pgo (fun t ->
             let ep = Server.endpoint t in
             let dexsim =
@@ -1680,11 +1690,10 @@ let pgo_tests =
              | Ok (Protocol.Rejected (Protocol.Malformed _)) -> ()
              | _ -> Alcotest.fail "garbage report payload not Malformed");
             assert_still_serving t;
-            (match Pgo.Manager.totals pgo with
-             | [ (_, tt) ] ->
-               Alcotest.(check int) "nothing scheduled" 0 tt.Pgo.p_relinks;
-               Alcotest.(check int) "no good report landed" 0 tt.Pgo.p_reports
-             | l -> Alcotest.failf "expected one app, got %d" (List.length l)));
+            Alcotest.(check int) "nothing scheduled" 0
+              (delta "pgo.Demo.relinks");
+            Alcotest.(check int) "no good report landed" 0
+              (delta "pgo.Demo.reports"));
         (* and the same frame against a daemon without --pgo *)
         with_server (fun t ->
             match
@@ -1716,7 +1725,7 @@ let pgo_tests =
           Pgo.Manager.create
             ~config:{ Pgo.default_config with Pgo.hysteresis = 3 } ()
         in
-        let refreshed0 = Calibro_obs.Obs.Counter.value "server.jobs.refreshed" in
+        let delta = deltas () in
         with_server ~workers:3 ~pgo (fun t ->
             let ep = Server.endpoint t in
             let build () = oat_of "build" (Client.request ~endpoint:ep rq) in
@@ -1774,20 +1783,17 @@ let pgo_tests =
               if drift > 0.3 then
                 Alcotest.failf "post-drift report %d drifted %.3f" i drift
             done;
-            match Pgo.Manager.totals pgo with
-            | [ (app, tt) ] ->
-              Alcotest.(check string) "app name" "Demo" app;
-              Alcotest.(check int) "every report counted" (4 + !sent + 4)
-                tt.Pgo.p_reports;
-              Alcotest.(check int) "one relink" 1 tt.Pgo.p_relinks;
-              Alcotest.(check bool) "drift detected, bounded by reports" true
-                (tt.Pgo.p_drift_detected >= 3
-                && tt.Pgo.p_drift_detected <= tt.Pgo.p_reports);
-              Alcotest.(check bool) "the relink hit the shared cache" true
-                (tt.Pgo.p_relink_cache_hits > 0)
-            | l -> Alcotest.failf "expected one app, got %d" (List.length l));
+            let reports = delta "pgo.Demo.reports"
+            and drift = delta "pgo.Demo.drift_detected" in
+            Alcotest.(check int) "every report counted" (4 + !sent + 4)
+              reports;
+            Alcotest.(check int) "one relink" 1 (delta "pgo.Demo.relinks");
+            Alcotest.(check bool) "drift detected, bounded by reports" true
+              (drift >= 3 && drift <= reports);
+            Alcotest.(check bool) "the relink hit the shared cache" true
+              (delta "pgo.Demo.relink_cache_hits" > 0));
         Alcotest.(check bool) "refreshed serves counted" true
-          (Calibro_obs.Obs.Counter.value "server.jobs.refreshed" > refreshed0));
+          (delta "server.jobs.refreshed" > 0));
     Alcotest.test_case "drain mid-relink: reports answered, nothing stuck"
       `Quick (fun () ->
         let dexsim, prof_old, prof_new = Lazy.force drift_fixture in
@@ -1838,7 +1844,6 @@ let pgo_tests =
         (* The server.relink span names the app in its args; the raw
            16-byte digest there made every --trace of a re-linking run
            invalid UTF-8. *)
-        let module Obs = Calibro_obs.Obs in
         let module Json = Calibro_obs.Json in
         let dexsim, prof_old, prof_new = Lazy.force drift_fixture in
         let digest = Chash.string dexsim in
@@ -1890,7 +1895,221 @@ let pgo_tests =
           Alcotest.(check (list string)) "one relink span, hex app digest"
             [ Chash.to_hex digest ] apps) ]
 
+
+(* ---- Live counters --------------------------------------------------------
+
+   Counters are incremented at the event and read while the daemon runs;
+   a drain adds nothing, so the same deltas hold before and after it. *)
+
+let check_deltas ~live msg delta expected =
+  List.iter
+    (fun (name, want) ->
+      let label = Printf.sprintf "%s: %s" msg name in
+      if live then check_eventually label want (fun () -> delta name)
+      else Alcotest.(check int) label want (delta name))
+    expected
+
+(* Run [f i] on [n] threads; the failures they report, in order. *)
+let on_threads n f =
+  let errors = Array.make n [] in
+  List.init n (fun i ->
+      Thread.create
+        (fun () -> errors.(i) <- (try f i with e -> [ Printexc.to_string e ]))
+        ())
+  |> List.iter Thread.join;
+  List.concat (Array.to_list errors)
+
+let live_counter_tests =
+  [ Alcotest.test_case "server counters reconcile live; drain adds nothing"
+      `Quick (fun () ->
+        let delta = deltas () in
+        let clients = 4 in
+        with_server ~queue_capacity:64 (fun t ->
+            let ep = Server.endpoint t in
+            let errors =
+              on_threads clients (fun _ ->
+                  let build () =
+                    match
+                      Client.request ~endpoint:ep
+                        (demo_request ~config:Config.cto ())
+                    with
+                    | Ok (Protocol.Built _) -> []
+                    | _ -> [ "build not served" ]
+                  in
+                  let b1 = build () in
+                  let hello =
+                    match Client.hello ~endpoint:ep with
+                    | Ok _ -> []
+                    | Error m -> [ "hello: " ^ m ]
+                  in
+                  let garbage =
+                    match raw_request ep "\x03garbage-after-tag" with
+                    | Ok (Protocol.Rejected (Protocol.Malformed _)) -> []
+                    | _ -> [ "garbage not answered Malformed" ]
+                  in
+                  let report =
+                    match
+                      Client.report ~endpoint:ep
+                        { Protocol.pr_app = "any";
+                          pr_profile = "com.a.B run 5\n" }
+                    with
+                    | Error _ -> []
+                    | Ok _ -> [ "a PGO-less daemon acked a report" ]
+                  in
+                  b1 @ hello @ garbage @ report @ build ())
+            in
+            Alcotest.(check (list string)) "every client answered" [] errors;
+            let expected =
+              [ ("server.requests.accepted", 2 * clients);
+                ("server.requests.overloaded", 0);
+                ("server.requests.malformed", clients);
+                ("server.requests.stalled", 0);
+                ("server.requests.refused_draining", 0);
+                ("server.requests.hello", clients);
+                ("server.requests.reports", clients);
+                ("server.jobs.ok", 2 * clients) ]
+            in
+            check_deltas ~live:true "before drain" delta expected;
+            Server.request_drain t;
+            Server.drain t;
+            check_deltas ~live:false "after drain" delta expected));
+    Alcotest.test_case
+      "router counters reconcile live across a failover; drain adds nothing"
+      `Quick (fun () ->
+        let mk_server () =
+          Server.create
+            { (Server.default_config
+                 ~endpoint:(Transport.Tcp { host = "127.0.0.1"; port = 0 }))
+              with
+              Server.cache = Some (Calibro_cache.Cache.create ()) }
+        in
+        let servers = [| mk_server (); mk_server () |] in
+        let drain s =
+          Server.request_drain s;
+          Server.drain s
+        in
+        Fun.protect
+          ~finally:(fun () -> Array.iter drain servers)
+          (fun () ->
+            with_router ~replicas:128
+              ~shards:(Array.to_list (Array.map Server.endpoint servers))
+              (fun t _sleeps ->
+                let delta = deltas () in
+                let ep = Router.endpoint t in
+                let rq = demo_request ~config:Config.cto () in
+                let owner =
+                  Router.Ring.lookup
+                    (Router.Ring.make ~shards:2 ~replicas:128)
+                    (Chash.string rq.Protocol.rq_dexsim)
+                in
+                let served () =
+                  match Client.request ~endpoint:ep rq with
+                  | Ok (Protocol.Built _) -> []
+                  | _ -> [ "build not served through the router" ]
+                in
+                let before = 4 and after = 3 in
+                Alcotest.(check (list string)) "concurrent builds served" []
+                  (on_threads before (fun _ -> served ()));
+                (* the forced failover: the owner leaves, later builds
+                   move to the survivor (only the first one retries) *)
+                drain servers.(owner);
+                Alcotest.(check (list string)) "post-failover builds served"
+                  [] (List.concat (List.init after (fun _ -> served ())));
+                let fd = Transport.connect ep in
+                write_all fd "GET / HTTP/1.1\r\n\r\n";
+                (try ignore (Protocol.read_frame fd)
+                 with Protocol.Frame_error _ -> ());
+                Unix.close fd;
+                let shard i what = Printf.sprintf "router.shard%d.%s" i what in
+                let expected =
+                  [ ("router.requests.total", before + after + 1);
+                    ("router.requests.forwarded", before + after);
+                    ("router.requests.unavailable", 0);
+                    ("router.requests.malformed", 1);
+                    ("router.conn_errors", 0);
+                    (shard owner "forwarded", before);
+                    (shard owner "retries", 1);
+                    (shard owner "failovers", 1);
+                    (shard (1 - owner) "forwarded", after);
+                    (shard (1 - owner) "retries", 0);
+                    (shard (1 - owner) "failovers", 0) ]
+                in
+                check_deltas ~live:true "before drain" delta expected;
+                Router.request_drain t;
+                Router.drain t;
+                check_deltas ~live:false "after drain" delta expected)));
+    Alcotest.test_case "a relink reports exactly its own cache hits" `Quick
+      (fun () ->
+        (* The relink runs while client builds of the old request hit the
+           same cache; it must report the hits of the same rebuild done
+           in-process on a cache holding exactly the old-profile build —
+           none of the concurrent builds' hits. *)
+        let dexsim, prof_old, prof_new = Lazy.force drift_fixture in
+        let digest = Chash.string dexsim in
+        let rq_old = request ~profile:prof_old ~config:pgo_config dexsim
+        and rq_new = request ~profile:prof_new ~config:pgo_config dexsim in
+        let expected_hits =
+          let cache = Some (Calibro_cache.Cache.create ()) in
+          ignore (Worker.build ~cache rq_old);
+          match Worker.build ~cache rq_new with
+          | Ok (b, _) -> b.Pipeline.b_cache_hits
+          | Error r ->
+            Alcotest.failf "in-process rebuild: %s"
+              (Protocol.rejection_to_string r)
+        in
+        let expected_new =
+          oat_of "in-process new" (Ok (Worker.build_response ~cache:None rq_new))
+        in
+        let pgo =
+          Pgo.Manager.create
+            ~config:{ Pgo.default_config with Pgo.hysteresis = 3 } ()
+        in
+        let delta = deltas () in
+        with_server ~workers:3 ~pgo (fun t ->
+            let ep = Server.endpoint t in
+            let build () = oat_of "build" (Client.request ~endpoint:ep rq_old) in
+            ignore (build ());
+            let landed () = delta "pgo.Demo.relinks" >= 1 in
+            let busy =
+              List.init 2 (fun _ ->
+                  Thread.create
+                    (fun () ->
+                      while not (landed ()) do
+                        ignore (Client.request ~endpoint:ep rq_old)
+                      done)
+                    ())
+            in
+            let rec drift n =
+              if n = 0 then Alcotest.fail "drift never scheduled a relink"
+              else
+                match
+                  Client.report ~endpoint:ep
+                    { Protocol.pr_app = digest; pr_profile = prof_new }
+                with
+                | Ok (_, true) -> ()
+                | Ok (_, false) -> drift (n - 1)
+                | Error m -> Alcotest.failf "report: %s" m
+            in
+            drift 12;
+            let rec await n =
+              if landed () then ()
+              else if n = 0 then Alcotest.fail "relink never landed"
+              else begin
+                Thread.delay 0.01;
+                await (n - 1)
+              end
+            in
+            await 1000;
+            List.iter Thread.join busy;
+            Alcotest.(check string) "the relink is that rebuild" expected_new
+              (build ());
+            Alcotest.(check bool) "client builds ran beside it" true
+              (delta "server.jobs.ok" > 2);
+            Alcotest.(check int) "relink hits = the in-process rebuild's"
+              expected_hits
+              (delta "pgo.Demo.relink_cache_hits"))) ]
+
 let suite =
   codec_tests @ transport_tests @ ring_tests @ queue_tests @ serve_tests
   @ zero_copy_tests @ fault_tests @ router_tests @ e2e_tests
-  @ dict_service_tests @ drain_tests @ pgo_tests
+  @ dict_service_tests @ drain_tests @ pgo_tests @ live_counter_tests

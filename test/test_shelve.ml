@@ -235,18 +235,7 @@ let dict_tests =
         let gen = Appgen.generate Apps.demo in
         let apk = gen.Appgen.app and script = gen.Appgen.app_script in
         let config = Config.cto_ltbo_pl ~k:8 () in
-        let run ?dict oat =
-          let t = Interp.load ?dict oat in
-          List.iter
-            (fun (st : Appgen.script_step) ->
-              for _ = 1 to st.Appgen.sc_repeat do
-                match Interp.call t st.Appgen.sc_method st.Appgen.sc_args with
-                | Interp.Fault msg -> Alcotest.failf "script fault: %s" msg
-                | _ -> ()
-              done)
-            script;
-          t
-        in
+        let run ?dict oat = Appgen.run_script ?dict oat script in
         let plain = Pipeline.build ~config apk in
         let tp = run plain.Pipeline.b_oat in
         (* 0.99, not lower: the demo script concentrates its mass on a
