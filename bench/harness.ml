@@ -869,12 +869,29 @@ let gate_apps () =
   in
   (Json.Obj apps, Clock.since_s t0)
 
+(* Bytes [Dex_text.parse] allocates per byte of the six apps' printed
+   text. An allocation count on the main domain repeats exactly, so the
+   gate can hold the parse layer to a tight envelope on any machine. *)
+let parse_alloc_per_byte () =
+  let texts =
+    List.map
+      (fun p -> Calibro_dex.Dex_text.to_string (Appgen.generate p).Appgen.app)
+      Apps.all
+  in
+  (* from an empty minor heap: otherwise the count drifts by a few % *)
+  Gc.minor ();
+  let a0 = Gc.allocated_bytes () in
+  List.iter (fun t -> ignore (Calibro_dex.Dex_text.parse t)) texts;
+  let allocated = Gc.allocated_bytes () -. a0 in
+  allocated /. float_of_int (List.fold_left (fun n t -> n + String.length t) 0 texts)
+
 (* One gate measurement: the bench section every row reads (and
    --metrics exports), and the union of the measurement modules'
    correctness failures, which fail the gate and block `baseline`
    whatever the committed bounds say. *)
 let gate_measure () : Json.t * string list =
   let step what f = Printf.eprintf "[gate] measuring %s...\n%!" what; f () in
+  let parse_alloc = step "parse allocation" parse_alloc_per_byte in
   let apps, total_s = gate_apps () in
   let eps, elements = step "detection throughput" detect_eps in
   let incr = step "incremental rebuild" incr_measure in
@@ -901,7 +918,9 @@ let gate_measure () : Json.t * string list =
         ("fleet", Serve.fleet_section fleet);
         ("store", Store.section store);
         ("pgo", Pgo_bench.section pgo);
-        ("train", Train_bench.section train) ],
+        ("train", Train_bench.section train);
+        ("dex", Json.Obj [ ("parse_alloc_bytes_per_byte", Json.Float parse_alloc) ])
+      ],
     List.concat
       [ incr_failures incr;
         Serve.failures serve;
@@ -970,7 +989,10 @@ let gate_rows : Gate.row list =
       row [ "train" ] "fleet_hit_rate" "fleet_hit_rate_floor"
         (Floor (Round (0.5, 3), 1.));
       row [ "train" ] "pgo_shelved_relink_cache_hits"
-        "pgo_shelved_relink_cache_hits_floor" exact_floor ]
+        "pgo_shelved_relink_cache_hits_floor" exact_floor;
+      (* an allocation count, exact from run to run: 5 % slack *)
+      row [ "dex" ] "parse_alloc_bytes_per_byte" "parse_alloc_envelope"
+        (Envelope (Pad 3, 1.05)) ]
 
 (* `baseline`: measure and write every row's bound to [path]; refuses
    (returns the failures) while any correctness check fails. *)

@@ -1,6 +1,6 @@
 (* Textual format for DEX-like input: the ".dexsim" format.
 
-   A hand-written lexer and recursive-descent parser (no parser-generator
+   A hand-written one-pass recursive-descent parser (no parser-generator
    dependency), plus a printer that round-trips. Example:
 
    {v
@@ -27,505 +27,505 @@ exception Parse_error of { line : int; message : string }
 let parse_errorf ~line fmt =
   Fmt.kstr (fun message -> raise (Parse_error { line; message })) fmt
 
-(* ---- Lexer ----------------------------------------------------------- *)
+(* ---- Scanner ---------------------------------------------------------
 
-type token =
-  | DIRECTIVE of string   (* .apk .dex .class .method .end *)
-  | IDENT of string
-  | REG of int            (* vN *)
-  | INT of int            (* #n *)
-  | LABEL of string       (* :name *)
-  | STRING of string
-  | LPAREN | RPAREN | COMMA | ARROW
+   Tokens are read straight from the source string at [pos], with no
+   token list; only the strings the IR keeps (names, class prefixes,
+   string constants) are copied out. A label is a source position. *)
 
-type lexed = { token : token; line : int }
+(* A growable array; an int pair is stored flat. *)
+type 'a vec = { mutable a : 'a array; mutable n : int }
 
-let is_ident_char c =
-  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
-  || c = '_' || c = '.' || c = '$' || c = '/' || c = '<' || c = '>'
+let push v x =
+  if v.n = Array.length v.a then v.a <- Array.append v.a (Array.make (v.n + 16) x);
+  v.a.(v.n) <- x;
+  v.n <- v.n + 1
 
-let lex source =
-  let n = String.length source in
-  let tokens = ref [] in
-  let line = ref 1 in
-  let emit token = tokens := { token; line = !line } :: !tokens in
-  let i = ref 0 in
-  let read_while pred =
-    let start = !i in
-    while !i < n && pred source.[!i] do incr i done;
-    String.sub source start (!i - start)
-  in
-  while !i < n do
-    let c = source.[!i] in
-    if c = '\n' then (incr line; incr i)
-    else if c = ' ' || c = '\t' || c = '\r' then incr i
-    else if c = ';' || (c = '/' && !i + 1 < n && source.[!i + 1] = '/') then
-      while !i < n && source.[!i] <> '\n' do incr i done
-    else if c = '(' then (emit LPAREN; incr i)
-    else if c = ')' then (emit RPAREN; incr i)
-    else if c = ',' then (emit COMMA; incr i)
-    else if c = '-' && !i + 1 < n && source.[!i + 1] = '>' then
-      (emit ARROW; i := !i + 2)
-    else if c = '.' then begin
-      incr i;
-      let name = read_while is_ident_char in
-      if name = "" then parse_errorf ~line:!line "stray '.'";
-      emit (DIRECTIVE name)
-    end
-    else if c = ':' then begin
-      incr i;
-      let name = read_while is_ident_char in
-      if name = "" then parse_errorf ~line:!line "empty label after ':'";
-      emit (LABEL name)
-    end
-    else if c = '#' then begin
-      incr i;
-      let neg = !i < n && source.[!i] = '-' in
-      if neg then incr i;
-      let digits =
-        read_while (fun c ->
-            (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')
-            || (c >= 'A' && c <= 'F') || c = 'x')
-      in
-      (match int_of_string_opt digits with
-       | Some v -> emit (INT (if neg then -v else v))
-       | None -> parse_errorf ~line:!line "bad integer literal #%s" digits)
-    end
-    else if c = '"' then begin
-      incr i;
-      let b = Buffer.create 16 in
-      let rec go () =
-        if !i >= n then parse_errorf ~line:!line "unterminated string"
-        else
-          match source.[!i] with
-          | '"' -> incr i
-          | '\\' when !i + 1 < n ->
-            let e = source.[!i + 1] in
-            Buffer.add_char b
-              (match e with
-               | 'n' -> '\n' | 't' -> '\t' | '\\' -> '\\' | '"' -> '"'
-               | _ -> parse_errorf ~line:!line "bad escape \\%c" e);
-            i := !i + 2;
-            go ()
-          | ch -> Buffer.add_char b ch; incr i; go ()
-      in
-      go ();
-      emit (STRING (Buffer.contents b))
-    end
-    else if is_ident_char c then begin
-      let word = read_while is_ident_char in
-      (* vN with digits only after the v is a register *)
-      if String.length word >= 2 && word.[0] = 'v'
-         && String.for_all (fun c -> c >= '0' && c <= '9')
-              (String.sub word 1 (String.length word - 1))
-      then emit (REG (int_of_string (String.sub word 1 (String.length word - 1))))
-      else emit (IDENT word)
-    end
-    else parse_errorf ~line:!line "unexpected character %C" c
-  done;
-  List.rev !tokens
+type state = {
+  src : string;
+  len : int;
+  mutable pos : int;  (* next unread byte *)
+  mutable line : int;  (* of [pos]; newlines inside strings do not count *)
+  mutable last_line : int;  (* of the last token consumed *)
+  insns : insn vec;  (* the current method's body *)
+  labels : (int, int * int) Hashtbl.t;  (* its labels, see below *)
+  refs : int vec;  (* its label references: (name position, line) *)
+}
+
+let ident_chars =
+  String.init 256 (fun i ->
+      match Char.chr i with
+      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '.' | '$' | '/' | '<' | '>' -> '\001'
+      | _ -> '\000')
+
+let is_ident_char c = String.unsafe_get ident_chars (Char.code c) <> '\000'
+let is_digit c = c >= '0' && c <= '9'
+
+let is_int_char = function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' | 'x' -> true | _ -> false
+
+let rec scan_while pred s i =
+  if i < s.len && pred s.src.[i] then scan_while pred s (i + 1) else i
+
+let rec word_end s i =
+  if i < s.len && is_ident_char s.src.[i] then word_end s (i + 1) else i
+let rec digits_end s i =
+  if i < s.len && is_digit s.src.[i] then digits_end s (i + 1) else i
+
+let take s j = s.last_line <- s.line; s.pos <- j
+let sub s i j = String.sub s.src i (j - i)
+
+(* Skip blanks, newlines and comments (';' or '//' to end of line). *)
+let rec skip s =
+  if s.pos < s.len then
+    match s.src.[s.pos] with
+    | '\n' -> s.line <- s.line + 1; s.pos <- s.pos + 1; skip s
+    | ' ' | '\t' | '\r' -> s.pos <- s.pos + 1; skip s
+    | (';' | '/') as c
+      when c = ';' || (s.pos + 1 < s.len && s.src.[s.pos + 1] = '/') ->
+      s.pos <- scan_while (fun c -> c <> '\n') s s.pos;
+      skip s
+    | _ -> ()
+
+let at_end s = skip s; s.pos >= s.len
+
+(* The next token's first byte. *)
+let start s =
+  if at_end s then parse_errorf ~line:s.last_line "unexpected end of input";
+  s.src.[s.pos]
+
+let rec same_from s i lit k =
+  k = String.length lit || (s.src.[i + k] = lit.[k] && same_from s i lit (k + 1))
+
+let span_is s i j lit = j - i = String.length lit && same_from s i lit 0
+
+(* The entry spelled [i, j) in a table of options built once, so a
+   lookup allocates nothing. *)
+let rec lookup s i j = function
+  | [] -> None
+  | (name, v) :: rest -> if span_is s i j name then v else lookup s i j rest
+
+let rec decimal s i j acc =
+  if i = j then acc else decimal s (i + 1) j ((acc * 10) + Char.code s.src.[i] - 48)
+
+(* The value of [i, j): short decimals directly, anything else (hex, out
+   of range, empty) through [int_of_string]. *)
+let number s i j =
+  if j > i && j - i <= 18 && digits_end s i = j then decimal s i j 0
+  else int_of_string (sub s i j)
+
+(* Whether the word [i, j) is a register: "v" and digits. *)
+let is_reg s i j = j - i >= 2 && s.src.[i] = 'v' && digits_end s (i + 1) = j
+
+(* Consume the register at [pos] and return its number, or return -1 if
+   another token is there. *)
+let reg s =
+  let i = s.pos + 1 in
+  let j = if s.src.[s.pos] = 'v' then digits_end s i else i in
+  if j = i || (j < s.len && is_ident_char s.src.[j]) then -1
+  else if j - i <= 18 then (take s j; decimal s i j 0)
+  else
+    match number s i j with
+    | r -> take s j; r
+    | exception Failure _ ->
+      parse_errorf ~line:s.line "register %s out of range" (sub s s.pos j)
+
+(* '#', an optional '-', then digits; [pos] is at the '#'. *)
+let read_int s =
+  let neg = s.pos + 1 < s.len && s.src.[s.pos + 1] = '-' in
+  let i = s.pos + if neg then 2 else 1 in
+  let j = digits_end s i in
+  let j = if j < s.len && is_int_char s.src.[j] then scan_while is_int_char s j else j in
+  match number s i j with
+  | v -> take s j; if neg then -v else v
+  | exception Failure _ ->
+    parse_errorf ~line:s.line "bad integer literal #%s" (sub s i j)
+
+(* The end of the name after the ':' or '.' at [pos]. *)
+let name_end s what =
+  let j = word_end s (s.pos + 1) in
+  if j = s.pos + 1 then parse_errorf ~line:s.line "%s" what;
+  j
+
+let rec string_body s b i =
+  if i >= s.len then parse_errorf ~line:s.line "unterminated string";
+  match s.src.[i] with
+  | '"' -> i + 1
+  | '\\' when i + 1 < s.len ->
+    Buffer.add_char b
+      (match s.src.[i + 1] with
+       | 'n' -> '\n' | 't' -> '\t' | ('\\' | '"') as e -> e
+       | e -> parse_errorf ~line:s.line "bad escape \\%c" e);
+    string_body s b (i + 2)
+  | c -> Buffer.add_char b c; string_body s b (i + 1)
+
+(* A string literal; [pos] is at the opening quote. *)
+let read_string s =
+  let b = Buffer.create 16 in
+  take s (string_body s b (s.pos + 1));
+  Buffer.contents b
+
+(* The token at [pos] as messages name it. It is lexed in full, so a
+   lexical fault in it is reported as such. *)
+let describe s =
+  match s.src.[s.pos] with
+  | ('(' | ')' | ',') as c -> String.make 1 c
+  | '-' when s.pos + 1 < s.len && s.src.[s.pos + 1] = '>' -> "->"
+  | '.' -> "." ^ sub s (s.pos + 1) (name_end s "stray '.'")
+  | ':' -> ":" ^ sub s (s.pos + 1) (name_end s "empty label after ':'")
+  | '#' -> "#" ^ string_of_int (read_int s)
+  | '"' -> ignore (read_string s); "<string>"
+  | c when is_ident_char c ->
+    let j = word_end s s.pos in
+    if is_reg s s.pos j then "v" ^ string_of_int (reg s) else sub s s.pos j
+  | c -> parse_errorf ~line:s.line "unexpected character %C" c
+
+let unexpected s what =
+  let line = s.line in
+  parse_errorf ~line "expected %s, got %s" what (describe s)
 
 (* ---- Parser ---------------------------------------------------------- *)
 
-type stream = { mutable rest : lexed list; mutable last_line : int }
+(* Consume the punctuation [c] if it is next. *)
+let accept s c = (not (at_end s)) && s.src.[s.pos] = c && (take s (s.pos + 1); true)
 
-let peek s = match s.rest with [] -> None | t :: _ -> Some t
+(* Consume the word (or directive) [w] if it is next. *)
+let accept_word s w =
+  (not (at_end s)) && s.src.[s.pos] = w.[0] && span_is s s.pos (word_end s s.pos) w
+  && (take s (word_end s s.pos); true)
 
-let next s =
-  match s.rest with
-  | [] -> parse_errorf ~line:s.last_line "unexpected end of input"
-  | t :: rest ->
-    s.rest <- rest;
-    s.last_line <- t.line;
-    t
+let expect s c =
+  if not (accept s c) then (ignore (start s); unexpected s (String.make 1 c))
+let keyword s w = if not (accept_word s w) then (ignore (start s); unexpected s w)
 
-let token_name = function
-  | DIRECTIVE d -> "." ^ d
-  | IDENT s -> s
-  | REG r -> Printf.sprintf "v%d" r
-  | INT i -> Printf.sprintf "#%d" i
-  | LABEL l -> ":" ^ l
-  | STRING _ -> "<string>"
-  | LPAREN -> "(" | RPAREN -> ")" | COMMA -> "," | ARROW -> "->"
+let expect_reg s =
+  ignore (start s);
+  match reg s with -1 -> unexpected s "register" | r -> r
 
-let expect s what pred =
-  let t = next s in
-  match pred t.token with
+let reg_comma s = let r = expect_reg s in expect s ','; r
+let expect_int s = if start s = '#' then read_int s else unexpected s "integer"
+
+let expect_string s = if start s = '"' then read_string s else unexpected s "string"
+
+(* Consume an identifier (not a register, not a directive) and return
+   where it starts; it ends at [pos]. *)
+let read_ident s =
+  let j = if start s = '.' then s.pos else word_end s s.pos in
+  if j = s.pos || is_reg s s.pos j then unexpected s "identifier";
+  let i = s.pos in
+  take s j; i
+
+let expect_ident s = let i = read_ident s in sub s i s.pos
+
+(* An identifier looked up in [table]; a miss is reported at [line]. *)
+let expect_named s line table what =
+  let i = read_ident s in
+  match lookup s i s.pos table with
   | Some v -> v
-  | None -> parse_errorf ~line:t.line "expected %s, got %s" what (token_name t.token)
+  | None -> parse_errorf ~line "unknown %s %S" what (sub s i s.pos)
 
-let expect_ident s =
-  expect s "identifier" (function IDENT v -> Some v | _ -> None)
+let rec last_dot s i k = if k < i || s.src.[k] = '.' then k else last_dot s i (k - 1)
 
-let expect_reg s = expect s "register" (function REG r -> Some r | _ -> None)
-let expect_int s = expect s "integer" (function INT i -> Some i | _ -> None)
-let expect_label s = expect s "label" (function LABEL l -> Some l | _ -> None)
+(* "com.demo.Bar.helper": class "com.demo.Bar", method "helper". *)
+let expect_method_ref s line =
+  let i = read_ident s in
+  let k = last_dot s i (s.pos - 1) in
+  if k < i then
+    parse_errorf ~line "method reference %S needs a class prefix" (sub s i s.pos);
+  { class_name = sub s i k; method_name = sub s (k + 1) s.pos }
 
-let expect_tok s tok =
-  let t = next s in
-  if t.token <> tok then
-    parse_errorf ~line:t.line "expected %s, got %s" (token_name tok)
-      (token_name t.token)
+(* A label reference, numbered in [refs] with the instruction's line: a
+   branch holds that number until its method's labels are resolved. *)
+let expect_label s line =
+  if start s <> ':' then unexpected s "label";
+  let j = name_end s "empty label after ':'" in
+  push s.refs (s.pos + 1); push s.refs line; take s j;
+  (s.refs.n / 2) - 1
 
-let accept s tok =
-  match peek s with
-  | Some t when t.token = tok -> ignore (next s); true
-  | _ -> false
+(* The rest of "(x, x, ...)" after its '('. *)
+let rec list_rest s read line acc =
+  let acc = read s line :: acc in
+  if accept s ',' then list_rest s read line acc else (expect s ')'; List.rev acc)
 
-(* Split "com.demo.Bar.helper" into class and method parts. *)
-let split_method_ref ~line name =
-  match String.rindex_opt name '.' with
-  | None -> parse_errorf ~line "method reference %S needs a class prefix" name
-  | Some i ->
-    { class_name = String.sub name 0 i;
-      method_name = String.sub name (i + 1) (String.length name - i - 1) }
+let args s =
+  expect s '(';
+  if accept s ')' then [] else list_rest s (fun s _ -> expect_reg s) 0 []
 
-let runtime_fn_of_name ~line name =
-  match List.find_opt (fun f -> runtime_fn_name f = name) all_runtime_fns with
-  | Some f -> f
-  | None -> parse_errorf ~line "unknown runtime function %S" name
+let result s =
+  let arrow = (not (at_end s)) && s.pos + 1 < s.len && s.src.[s.pos] = '-' in
+  if arrow && s.src.[s.pos + 1] = '>' then (take s (s.pos + 2); Some (expect_reg s))
+  else None
+let table name l = List.map (fun x -> (name x, Some x)) l
+let cmps = table cmp_name [ Eq; Ne; Lt; Le; Gt; Ge ]
+let runtime_fns = table runtime_fn_name all_runtime_fns
 
-let binop_of_name = function
-  | "add" -> Some Add | "sub" -> Some Sub | "mul" -> Some Mul
-  | "div" -> Some Div | "rem" -> Some Rem | "and" -> Some And
-  | "or" -> Some Or | "xor" -> Some Xor
-  | _ -> None
+(* Operand shapes "vA, vB", "vA, vB, vC" and "vA, vB, #n". *)
+let rr k s _ = let a = reg_comma s in k a (expect_reg s)
+let rrr k s _ = let a = reg_comma s in let b = reg_comma s in k a b (expect_reg s)
+let rri k s _ = let a = reg_comma s in let b = reg_comma s in k a b (expect_int s)
 
-let cmp_of_name ~line = function
-  | "eq" -> Eq | "ne" -> Ne | "lt" -> Lt | "le" -> Le | "gt" -> Gt | "ge" -> Ge
-  | s -> parse_errorf ~line "unknown comparison %S" s
+(* Each mnemonic's operand parser, given the mnemonic's line; the most
+   frequent first. They are built once: parsing an instruction makes no
+   closure. *)
+let mnemonics =
+  List.map (fun op ->
+      ( binop_name op,
+        fun s _ ->
+          let d = reg_comma s in let a = reg_comma s in
+          if start s = '#' then Binop_lit (op, d, a, read_int s)
+          else
+            match reg s with -1 -> unexpected s "register or literal" | b -> Binop (op, d, a, b) ))
+    [ Add; Xor; Sub; Mul; And; Or; Div; Rem ]
+  @ [ ("const", fun s _ -> let d = reg_comma s in Const (d, expect_int s));
+      ("iput", rri (fun v o off -> Iput (v, o, off)));
+      ("iget", rri (fun d o off -> Iget (d, o, off)));
+      ("invoke", fun s line ->
+          let callee = expect_method_ref s line in
+          let args = args s in
+          Invoke (callee, args, result s));
+      ("aput", rrr (fun v a i -> Aput (v, a, i)));
+      ("return", fun s _ ->
+          let r = if at_end s then -1 else reg s in
+          Return (if r >= 0 then Some r else None));
+      ("goto", fun s line -> Goto (expect_label s line));
+      ("rtcall", fun s line ->
+          let fn = expect_named s line runtime_fns "runtime function" in
+          let args = args s in
+          Invoke_runtime (fn, args, result s));
+      ("string", fun s _ -> let d = reg_comma s in Const_string (d, expect_string s));
+      ("new", fun s _ ->
+          let cls = expect_ident s in expect s ','; New_instance (cls, expect_reg s));
+      ("if", fun s line ->
+          let c = expect_named s line cmps "comparison" in
+          let a = reg_comma s in let b = reg_comma s in
+          If (c, a, b, expect_label s line));
+      ("aget", rrr (fun d a i -> Aget (d, a, i)));
+      ("switch", fun s line ->
+          let v = expect_reg s in expect s '(';
+          Switch (v, list_rest s expect_label line []));
+      ("move", rr (fun d a -> Move (d, a)));
+      ("arraylen", rr (fun d a -> Array_len (d, a)));
+      ("ifz", fun s line ->
+          let c = expect_named s line cmps "comparison" in
+          let a = reg_comma s in
+          Ifz (c, a, expect_label s line)) ]
+  |> List.map (fun (m, operands) -> (m, Some operands))
 
-(* Parse argument list "(v0, v1, ...)". *)
-let parse_args s =
-  expect_tok s LPAREN;
-  if accept s RPAREN then []
-  else begin
-    let rec go acc =
-      let r = expect_reg s in
-      if accept s COMMA then go (r :: acc)
-      else begin
-        expect_tok s RPAREN;
-        List.rev (r :: acc)
-      end
-    in
-    go []
-  end
+(* ---- Labels ----------------------------------------------------------
 
-let parse_result_opt s =
-  if accept s ARROW then Some (expect_reg s) else None
+   A method's label definitions, (name position, instruction index), are
+   kept by a hash of the name. *)
 
-(* An instruction or a label definition. *)
-type item = Insn of insn_sym | Label_def of string
+let rec same_name s i k =
+  let ei = i >= s.len || not (is_ident_char s.src.[i])
+  and ek = k >= s.len || not (is_ident_char s.src.[k]) in
+  if ei || ek then ei && ek else s.src.[i] = s.src.[k] && same_name s (i + 1) (k + 1)
 
-(* Instructions with still-symbolic labels. *)
-and insn_sym =
-  | S_plain of (label_resolver -> insn)
+let rec name_hash s i h =
+  if i < s.len && is_ident_char s.src.[i] then
+    name_hash s (i + 1) ((h * 31) + Char.code s.src.[i])
+  else h
 
-and label_resolver = line:int -> string -> int
+let find_label s i =
+  let defs = Hashtbl.find_all s.labels (name_hash s i 0) in
+  List.find_opt (fun (k, _) -> same_name s k i) defs
 
-let parse_insn s ~line mnemonic : insn_sym =
-  let plain f = S_plain f in
-  match mnemonic with
-  | "const" ->
-    let d = expect_reg s in
-    expect_tok s COMMA;
-    let v = expect_int s in
-    plain (fun _ -> Const (d, v))
-  | "move" ->
-    let d = expect_reg s in
-    expect_tok s COMMA;
-    let a = expect_reg s in
-    plain (fun _ -> Move (d, a))
-  | "string" ->
-    let d = expect_reg s in
-    expect_tok s COMMA;
-    let v = expect s "string" (function STRING v -> Some v | _ -> None) in
-    plain (fun _ -> Const_string (d, v))
-  | "new" ->
-    let cls = expect_ident s in
-    expect_tok s COMMA;
-    let d = expect_reg s in
-    plain (fun _ -> New_instance (cls, d))
-  | "iget" | "iput" ->
-    let a = expect_reg s in
-    expect_tok s COMMA;
-    let b = expect_reg s in
-    expect_tok s COMMA;
-    let off = expect_int s in
-    plain (fun _ ->
-        if mnemonic = "iget" then Iget (a, b, off) else Iput (a, b, off))
-  | "aget" | "aput" ->
-    let a = expect_reg s in
-    expect_tok s COMMA;
-    let b = expect_reg s in
-    expect_tok s COMMA;
-    let c = expect_reg s in
-    plain (fun _ -> if mnemonic = "aget" then Aget (a, b, c) else Aput (a, b, c))
-  | "arraylen" ->
-    let d = expect_reg s in
-    expect_tok s COMMA;
-    let a = expect_reg s in
-    plain (fun _ -> Array_len (d, a))
-  | "if" ->
-    let c = cmp_of_name ~line (expect_ident s) in
-    let a = expect_reg s in
-    expect_tok s COMMA;
-    let b = expect_reg s in
-    expect_tok s COMMA;
-    let l = expect_label s in
-    plain (fun resolve -> If (c, a, b, resolve ~line l))
-  | "ifz" ->
-    let c = cmp_of_name ~line (expect_ident s) in
-    let a = expect_reg s in
-    expect_tok s COMMA;
-    let l = expect_label s in
-    plain (fun resolve -> Ifz (c, a, resolve ~line l))
-  | "goto" ->
-    let l = expect_label s in
-    plain (fun resolve -> Goto (resolve ~line l))
-  | "switch" ->
-    let v = expect_reg s in
-    expect_tok s LPAREN;
-    let rec go acc =
-      let l = expect_label s in
-      if accept s COMMA then go (l :: acc)
-      else begin
-        expect_tok s RPAREN;
-        List.rev (l :: acc)
-      end
-    in
-    let labels = go [] in
-    plain (fun resolve -> Switch (v, List.map (resolve ~line) labels))
-  | "invoke" ->
-    let callee = split_method_ref ~line (expect_ident s) in
-    let args = parse_args s in
-    let res = parse_result_opt s in
-    plain (fun _ -> Invoke (callee, args, res))
-  | "rtcall" ->
-    let fn = runtime_fn_of_name ~line (expect_ident s) in
-    let args = parse_args s in
-    let res = parse_result_opt s in
-    plain (fun _ -> Invoke_runtime (fn, args, res))
-  | "return" ->
-    (match peek s with
-     | Some { token = REG r; _ } ->
-       ignore (next s);
-       plain (fun _ -> Return (Some r))
-     | _ -> plain (fun _ -> Return None))
-  | other ->
-    (match binop_of_name other with
-     | Some op ->
-       let d = expect_reg s in
-       expect_tok s COMMA;
-       let a = expect_reg s in
-       expect_tok s COMMA;
-       let t = next s in
-       (match t.token with
-        | REG b -> plain (fun _ -> Binop (op, d, a, b))
-        | INT v -> plain (fun _ -> Binop_lit (op, d, a, v))
-        | tok ->
-          parse_errorf ~line:t.line "expected register or literal, got %s"
-            (token_name tok))
-     | None -> parse_errorf ~line "unknown mnemonic %S" other)
+let define_label s =
+  let j = name_end s "empty label after ':'" and i = s.pos + 1 in
+  take s j;
+  if find_label s i <> None then
+    parse_errorf ~line:s.last_line "duplicate label :%s" (sub s i j);
+  Hashtbl.add s.labels (name_hash s i 0) (i, s.insns.n)
 
-let parse_method s ~name =
-  let ident_kw kw = expect_tok s (IDENT kw) in
-  ident_kw "params";
-  let num_params = expect_int s in
-  ident_kw "regs";
-  let num_vregs = expect_int s in
-  let is_native = ref false and is_entry = ref false in
-  let rec attrs () =
-    match peek s with
-    | Some { token = IDENT "native"; _ } -> ignore (next s); is_native := true; attrs ()
-    | Some { token = IDENT "entry"; _ } -> ignore (next s); is_entry := true; attrs ()
-    | _ -> ()
+(* Reference [r]'s instruction index. *)
+let target s r =
+  let i = s.refs.a.(2 * r) in
+  match find_label s i with
+  | Some (_, index) -> index
+  | None ->
+    let line = s.refs.a.((2 * r) + 1) in
+    parse_errorf ~line "undefined label :%s" (sub s i (word_end s i))
+
+let[@tail_mod_cons] rec targets s = function
+  | [] -> []
+  | r :: rs -> let t = target s r in t :: targets s rs
+
+(* Patch the branches' reference numbers into instruction indices, in
+   instruction order, and forget the method's labels. *)
+let resolve_labels s insns =
+  if s.refs.n > 0 then
+    Array.iteri
+      (fun k insn ->
+        match insn with
+        | If (c, a, b, r) -> insns.(k) <- If (c, a, b, target s r)
+        | Ifz (c, a, r) -> insns.(k) <- Ifz (c, a, target s r)
+        | Goto r -> insns.(k) <- Goto (target s r)
+        | Switch (v, rs) -> insns.(k) <- Switch (v, targets s rs)
+        | _ -> ())
+      insns;
+  Hashtbl.reset s.labels;
+  s.refs.n <- 0
+
+(* ---- Structure ------------------------------------------------------- *)
+
+let parse_method s name =
+  keyword s "params"; let num_params = expect_int s in
+  keyword s "regs"; let num_vregs = expect_int s in
+  let rec attrs native entry =
+    if accept_word s "native" then attrs true entry
+    else if accept_word s "entry" then attrs native true
+    else (native, entry)
   in
-  attrs ();
-  let items = ref [] in
-  let rec body () =
-    match peek s with
-    | Some { token = DIRECTIVE "end"; _ } -> ignore (next s)
-    | Some { token = LABEL l; _ } ->
-      ignore (next s);
-      items := (Label_def l, s.last_line) :: !items;
-      body ()
-    | Some { token = IDENT mnemonic; line } ->
-      ignore (next s);
-      items := (Insn (parse_insn s ~line mnemonic), line) :: !items;
-      body ()
-    | Some t ->
-      parse_errorf ~line:t.line "expected instruction, label or .end, got %s"
-        (token_name t.token)
-    | None -> parse_errorf ~line:s.last_line ".method without .end"
-  in
-  body ();
-  let items = List.rev !items in
-  (* Resolve labels to instruction indices. *)
-  let label_table = Hashtbl.create 8 in
-  let idx = ref 0 in
-  List.iter
-    (fun (item, line) ->
-      match item with
-      | Label_def l ->
-        if Hashtbl.mem label_table l then
-          parse_errorf ~line "duplicate label :%s" l;
-        Hashtbl.replace label_table l !idx
-      | Insn _ -> incr idx)
-    items;
-  let resolve ~line l =
-    match Hashtbl.find_opt label_table l with
-    | Some i -> i
-    | None -> parse_errorf ~line "undefined label :%s" l
-  in
-  let insns =
-    List.filter_map
-      (fun (item, _) ->
-        match item with
-        | Insn (S_plain f) -> Some (f resolve)
-        | Label_def _ -> None)
-      items
-    |> Array.of_list
-  in
-  { name; num_params; num_vregs; is_native = !is_native; is_entry = !is_entry;
-    insns }
+  let is_native, is_entry = attrs false false in
+  s.insns.n <- 0;
+  while not (accept_word s ".end") do
+    if at_end s then parse_errorf ~line:s.last_line ".method without .end";
+    if s.src.[s.pos] = ':' then define_label s
+    else begin
+      let i = s.pos and j = word_end s s.pos in
+      if s.src.[i] = '.' || j = i || is_reg s i j then
+        unexpected s "instruction, label or .end";
+      take s j;
+      match lookup s i j mnemonics with
+      | Some operands -> push s.insns (operands s s.last_line)
+      | None -> parse_errorf ~line:s.last_line "unknown mnemonic %S" (sub s i j)
+    end
+  done;
+  let insns = Array.sub s.insns.a 0 s.insns.n in
+  resolve_labels s insns;
+  { name; num_params; num_vregs; is_native; is_entry; insns }
 
-let parse_class s ~cls_name =
-  let methods = ref [] in
-  let rec go () =
-    match peek s with
-    | Some { token = DIRECTIVE "method"; _ } ->
-      ignore (next s);
-      let mname = expect_ident s in
-      let m = parse_method s ~name:{ class_name = cls_name; method_name = mname } in
-      methods := m :: !methods;
-      go ()
-    | _ -> ()
-  in
-  go ();
-  { cls_name; cls_methods = List.rev !methods }
-
-let parse_dex s ~dex_name =
-  let classes = ref [] in
-  let rec go () =
-    match peek s with
-    | Some { token = DIRECTIVE "class"; _ } ->
-      ignore (next s);
-      let cname = expect_ident s in
-      classes := parse_class s ~cls_name:cname :: !classes;
-      go ()
-    | _ -> ()
-  in
-  go ();
-  { dex_name; classes = List.rev !classes }
-
-let parse_apk source =
-  let s = { rest = lex source; last_line = 1 } in
-  expect_tok s (DIRECTIVE "apk");
+let parse_apk s =
+  keyword s ".apk";
   let apk_name = expect_ident s in
   let dexes = ref [] in
-  let rec go () =
-    match peek s with
-    | Some { token = DIRECTIVE "dex"; _ } ->
-      ignore (next s);
-      let dname = expect_ident s in
-      dexes := parse_dex s ~dex_name:dname :: !dexes;
-      go ()
-    | Some t -> parse_errorf ~line:t.line "expected .dex, got %s" (token_name t.token)
-    | None -> ()
-  in
-  go ();
+  while not (at_end s) do
+    keyword s ".dex"; let dex_name = expect_ident s in
+    let classes = ref [] in
+    while accept_word s ".class" do
+      let cls_name = expect_ident s in
+      let methods = ref [] in
+      while accept_word s ".method" do
+        let method_name = expect_ident s in
+        methods := parse_method s { class_name = cls_name; method_name } :: !methods
+      done;
+      classes := { cls_name; cls_methods = List.rev !methods } :: !classes
+    done;
+    dexes := { dex_name; classes = List.rev !classes } :: !dexes
+  done;
   { apk_name; dexes = List.rev !dexes }
 
 let parse source =
-  match parse_apk source with
+  let s =
+    { src = source; len = String.length source; pos = 0; line = 1;
+      last_line = 1; insns = { a = [||]; n = 0 }; labels = Hashtbl.create 16;
+      refs = { a = [||]; n = 0 } }
+  in
+  match parse_apk s with
   | apk -> Ok apk
   | exception Parse_error { line; message } ->
     Error (Printf.sprintf "line %d: %s" line message)
 
-(* ---- Printer --------------------------------------------------------- *)
+(* ---- Printer ---------------------------------------------------------
 
-let escape_string v =
-  let b = Buffer.create (String.length v + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '"' -> Buffer.add_string b "\\\""
-      | c -> Buffer.add_char b c)
-    v;
-  Buffer.contents b
+   Straight into one buffer: no per-line format or concatenation. *)
 
-let print_insn b ~label_of insn =
-  let reg r = Printf.sprintf "v%d" r in
-  let args rs = "(" ^ String.concat ", " (List.map reg rs) ^ ")" in
-  let res = function None -> "" | Some r -> " -> " ^ reg r in
-  let s =
-    match insn with
-    | Const (d, v) -> Printf.sprintf "const %s, #%d" (reg d) v
-    | Move (d, a) -> Printf.sprintf "move %s, %s" (reg d) (reg a)
-    | Binop (op, d, a, bb) ->
-      Printf.sprintf "%s %s, %s, %s" (binop_name op) (reg d) (reg a) (reg bb)
-    | Binop_lit (op, d, a, v) ->
-      Printf.sprintf "%s %s, %s, #%d" (binop_name op) (reg d) (reg a) v
-    | Invoke (callee, aa, r) ->
-      Printf.sprintf "invoke %s %s%s" (method_ref_to_string callee) (args aa)
-        (res r)
-    | Invoke_runtime (fn, aa, r) ->
-      Printf.sprintf "rtcall %s %s%s" (runtime_fn_name fn) (args aa) (res r)
-    | New_instance (cls, d) -> Printf.sprintf "new %s, %s" cls (reg d)
-    | Iget (d, o, off) -> Printf.sprintf "iget %s, %s, #%d" (reg d) (reg o) off
-    | Iput (v, o, off) -> Printf.sprintf "iput %s, %s, #%d" (reg v) (reg o) off
-    | Aget (d, a, i) -> Printf.sprintf "aget %s, %s, %s" (reg d) (reg a) (reg i)
-    | Aput (v, a, i) -> Printf.sprintf "aput %s, %s, %s" (reg v) (reg a) (reg i)
-    | Array_len (d, a) -> Printf.sprintf "arraylen %s, %s" (reg d) (reg a)
-    | If (c, a, bb, l) ->
-      Printf.sprintf "if %s %s, %s, :%s" (cmp_name c) (reg a) (reg bb)
-        (label_of l)
-    | Ifz (c, a, l) ->
-      Printf.sprintf "ifz %s %s, :%s" (cmp_name c) (reg a) (label_of l)
-    | Goto l -> Printf.sprintf "goto :%s" (label_of l)
-    | Switch (v, ls) ->
-      Printf.sprintf "switch %s (%s)" (reg v)
-        (String.concat ", " (List.map (fun l -> ":" ^ label_of l) ls))
-    | Const_string (d, v) ->
-      Printf.sprintf "string %s, \"%s\"" (reg d) (escape_string v)
-    | Return None -> "return"
-    | Return (Some r) -> Printf.sprintf "return %s" (reg r)
-  in
-  Buffer.add_string b ("    " ^ s ^ "\n")
+let add = Buffer.add_string
+let add_char = Buffer.add_char
+
+let rec add_int b n =
+  if n < 0 && n <> min_int then (add_char b '-'; add_int b (-n))
+  else if n < 0 then add b (string_of_int n)
+  else begin
+    if n >= 10 then add_int b (n / 10);
+    add_char b (Char.unsafe_chr (48 + (n mod 10)))
+  end
+
+(* [prefix] then [n]: "const v3", ", #5", ", :L6". *)
+let add_num b prefix n = add b prefix; add_int b n
+let add_reg b r = add_num b ", v" r
+
+(* [sep], [prefix] and a number for each element; then ", " separates. *)
+let rec add_list b prefix sep = function
+  | [] -> ()
+  | x :: xs -> add b sep; add_num b prefix x; add_list b prefix ", " xs
+
+let add_call b name args res =
+  add b name; add b " ("; add_list b "v" "" args; add_char b ')';
+  match res with Some r -> add_num b " -> v" r | None -> ()
+
+let add_escaped b v =
+  for k = 0 to String.length v - 1 do
+    match v.[k] with
+    | '\n' -> add b "\\n" | '\t' -> add b "\\t" | '\\' -> add b "\\\\"
+    | '"' -> add b "\\\"" | c -> add_char b c
+  done
+
+let print_insn b insn =
+  (match insn with
+   | Const (d, v) -> add_num b "const v" d; add_num b ", #" v
+   | Move (d, a) -> add_num b "move v" d; add_reg b a
+   | Binop (op, d, a, c) ->
+     add b (binop_name op); add_num b " v" d; add_reg b a; add_reg b c
+   | Binop_lit (op, d, a, v) ->
+     add b (binop_name op); add_num b " v" d; add_reg b a; add_num b ", #" v
+   | Invoke (m, args, res) ->
+     add b "invoke "; add b m.class_name; add_char b '.';
+     add_call b m.method_name args res
+   | Invoke_runtime (fn, args, res) ->
+     add b "rtcall "; add_call b (runtime_fn_name fn) args res
+   | New_instance (cls, d) -> add b "new "; add b cls; add_reg b d
+   | Iget (d, o, off) -> add_num b "iget v" d; add_reg b o; add_num b ", #" off
+   | Iput (v, o, off) -> add_num b "iput v" v; add_reg b o; add_num b ", #" off
+   | Aget (d, a, i) -> add_num b "aget v" d; add_reg b a; add_reg b i
+   | Aput (v, a, i) -> add_num b "aput v" v; add_reg b a; add_reg b i
+   | Array_len (d, a) -> add_num b "arraylen v" d; add_reg b a
+   | If (c, x, y, l) ->
+     add b "if "; add b (cmp_name c); add_num b " v" x; add_reg b y;
+     add_num b ", :L" l
+   | Ifz (c, x, l) ->
+     add b "ifz "; add b (cmp_name c); add_num b " v" x; add_num b ", :L" l
+   | Goto l -> add_num b "goto :L" l
+   | Switch (v, ls) ->
+     add_num b "switch v" v; add b " ("; add_list b ":L" "" ls; add_char b ')'
+   | Const_string (d, v) ->
+     add_num b "string v" d; add b ", \""; add_escaped b v; add_char b '"'
+   | Return None -> add b "return"
+   | Return (Some r) -> add_num b "return v" r);
+  add_char b '\n'
 
 let print_method b (m : meth) =
-  Buffer.add_string b
-    (Printf.sprintf ".method %s params #%d regs #%d%s%s\n" m.name.method_name
-       m.num_params m.num_vregs
-       (if m.is_native then " native" else "")
-       (if m.is_entry then " entry" else ""));
-  (* Collect label targets. *)
-  let targets =
-    Array.to_list m.insns |> List.concat_map targets |> List.sort_uniq compare
-  in
-  let label_of l = Printf.sprintf "L%d" l in
+  add b ".method "; add b m.name.method_name;
+  add_num b " params #" m.num_params; add_num b " regs #" m.num_vregs;
+  if m.is_native then add b " native";
+  if m.is_entry then add b " entry";
+  add_char b '\n';
+  (* Label every in-range branch target (the checker rejects the rest). *)
+  let n = Array.length m.insns in
+  let is_target = Array.make n false in
+  let mark l = if l >= 0 && l < n then is_target.(l) <- true in
+  Array.iter
+    (function
+      | If (_, _, _, l) | Ifz (_, _, l) | Goto l -> mark l
+      | Switch (_, ls) -> List.iter mark ls
+      | _ -> ())
+    m.insns;
   Array.iteri
     (fun i insn ->
-      if List.mem i targets then Buffer.add_string b ("  :" ^ label_of i ^ "\n");
-      print_insn b ~label_of insn)
+      if is_target.(i) then (add_num b "  :L" i; add_char b '\n');
+      add b "    "; print_insn b insn)
     m.insns;
-  (* A label may point one past the last instruction only if unreachable;
-     the checker rejects that, so no trailing label handling needed. *)
-  Buffer.add_string b ".end\n"
+  add b ".end\n"
 
 let to_string (apk : apk) =
   let b = Buffer.create 4096 in
-  Buffer.add_string b (Printf.sprintf ".apk %s\n" apk.apk_name);
+  let line directive name = add b directive; add b name; add_char b '\n' in
+  line ".apk " apk.apk_name;
   List.iter
     (fun dex ->
-      Buffer.add_string b (Printf.sprintf ".dex %s\n" dex.dex_name);
+      line ".dex " dex.dex_name;
       List.iter
         (fun cls ->
-          Buffer.add_string b (Printf.sprintf ".class %s\n" cls.cls_name);
+          line ".class " cls.cls_name;
           List.iter (print_method b) cls.cls_methods)
         dex.classes)
     apk.dexes;

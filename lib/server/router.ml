@@ -200,13 +200,12 @@ let backoff_s t ~attempt =
 (* One forward attempt: connect, send the request frame verbatim, read
    the response frame verbatim. [`Draining] separates "shard is leaving"
    from transport failure only for readability — both fail over. *)
-let try_forward t shard payload =
+let try_forward ~timeout_s shard payload =
   match Transport.connect shard.sh_endpoint with
   | exception Unix.Unix_error _ -> Error `Io
   | fd -> (
     Fun.protect ~finally:(fun () -> close_quietly fd) @@ fun () ->
-    if t.cfg.recv_timeout_s > 0.0 then
-      Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.cfg.recv_timeout_s;
+    if timeout_s > 0.0 then Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout_s;
     match
       Protocol.write_frame fd payload;
       Protocol.read_frame fd
@@ -265,7 +264,7 @@ let route t client_fd payload =
          | _ -> ());
         if attempt > 1 then t.cfg.sleep (backoff_s t ~attempt:(attempt - 1));
         let shard = t.shards.(i) in
-        (match try_forward t shard payload with
+        (match try_forward ~timeout_s:t.cfg.recv_timeout_s shard payload with
          | Ok resp ->
            Atomic.set shard.sh_up true;
            count "router.requests.forwarded";
@@ -290,15 +289,26 @@ let handle_connection t client_fd =
 
 (* ---- Health probing ------------------------------------------------------ *)
 
+(* A down shard is back when it answers the dictionary handshake. The
+   daemon answers [Hello] inline, without a queue slot, so the probe's
+   own receive timeout can be short; and the daemon counts it as a
+   hello, not as a malformed frame. *)
+let probe_timeout_s = 1.0
+
 let check_health t =
   Array.iter
     (fun s ->
-      if not (Atomic.get s.sh_up) then
-        match Transport.connect s.sh_endpoint with
-        | fd ->
-          close_quietly fd;
-          Atomic.set s.sh_up true
-        | exception Unix.Unix_error _ -> ())
+      if not (Atomic.get s.sh_up) then begin
+        count "router.health_probes";
+        match
+          try_forward ~timeout_s:probe_timeout_s s (Protocol.encode_hello ())
+        with
+        | Ok resp -> (
+          match Protocol.decode_response resp with
+          | Ok (Protocol.Dict_info _) -> Atomic.set s.sh_up true
+          | _ -> ())
+        | Error _ -> ()
+      end)
     t.shards
 
 (* The prober runs on a real clock deliberately — it is a liveness

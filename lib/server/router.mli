@@ -30,7 +30,9 @@
       protocol exception escaping the reader ({!count_as_conn_error});
     - [router.shard<i>.forwarded]: responses relayed from shard [i];
     - [router.shard<i>.retries]: forward attempts shard [i] failed;
-    - [router.shard<i>.failovers]: requests re-routed off shard [i].
+    - [router.shard<i>.failovers]: requests re-routed off shard [i];
+    - [router.health_probes]: [Hello] handshakes {!check_health} sent to
+      down shards.
 
     A frame read is answered once unless its connection is dropped, so
     once the readers are done [total] = [forwarded] + [unavailable] +
@@ -102,9 +104,9 @@ val endpoint : t -> Transport.endpoint
 
 val shard_up : t -> int -> bool
 val check_health : t -> unit
-(** One probe pass: try to connect to every down shard, marking the
-    reachable ones up again. The background thread calls this every
-    [health_period_s]; tests call it directly. *)
+(** One probe pass: send every down shard the [Hello] handshake and mark
+    up again those that answer [Dict_info]. The background thread calls
+    this every [health_period_s]; tests call it directly. *)
 
 (** {2 Lifecycle} — same contract as {!Server}. *)
 

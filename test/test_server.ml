@@ -1136,7 +1136,13 @@ let router_tests =
               (Ok (Protocol.Rejected Protocol.Unavailable))
               (raw_request (Router.endpoint t) "anything");
             Alcotest.(check bool) "marked down" false (Router.shard_up t 0);
-            let fx = Fixture.start ~endpoint:ep (Fixture.Serve (fun _ -> canned "back")) in
+            (* a returned daemon answers the Hello probe *)
+            let serve p =
+              if Protocol.decode_request p = Ok Protocol.Hello then
+                Protocol.encode_response (Protocol.Dict_info { di_digest = None })
+              else canned "back"
+            in
+            let fx = Fixture.start ~endpoint:ep (Fixture.Serve serve) in
             Fun.protect
               ~finally:(fun () -> Fixture.stop fx)
               (fun () ->
@@ -1146,6 +1152,32 @@ let router_tests =
                 Alcotest.check rejection_answer "served again"
                   (Ok (Protocol.Rejected (Protocol.Internal "back")))
                   (raw_request (Router.endpoint t) "anything"))));
+    Alcotest.test_case "the prober revives a real daemon, not malformed"
+      `Quick (fun () ->
+        (* The probe is a Hello round trip: a shard that answers anything
+           else stays down, and a daemon counts the probe as a hello, not
+           as a malformed frame. *)
+        let ep = fresh_endpoint () in
+        with_router ~max_attempts:1 ~shards:[ ep ] (fun t _sleeps ->
+            ignore (raw_request (Router.endpoint t) "anything");
+            Alcotest.(check bool) "marked down" false (Router.shard_up t 0);
+            let fx = Fixture.start ~endpoint:ep (Fixture.Serve (fun _ -> canned "x")) in
+            Fun.protect
+              ~finally:(fun () -> Fixture.stop fx)
+              (fun () ->
+                Router.check_health t;
+                Alcotest.(check bool) "not a daemon: still down" false
+                  (Router.shard_up t 0));
+            with_server ~endpoint:ep (fun _srv ->
+                let delta = deltas () in
+                Router.check_health t;
+                Alcotest.(check bool) "revived by the prober" true
+                  (Router.shard_up t 0);
+                Alcotest.(check int) "one probe" 1 (delta "router.health_probes");
+                Alcotest.(check int) "one hello" 1
+                  (delta "server.requests.hello");
+                Alcotest.(check int) "no malformed request" 0
+                  (delta "server.requests.malformed"))));
     Alcotest.test_case "garbage to the router is answered Malformed" `Quick
       (fun () ->
         let good = Fixture.start (Fixture.Serve (fun _ -> canned "good")) in
