@@ -197,7 +197,6 @@ let run ?(seeds = 25) ?(base_seed = 0) ?configs ?mutate ?shrink ?dict ?shelve
 module Proto = struct
   module P = Calibro_server.Protocol
   module Oat_file = Calibro_oat.Oat_file
-  module Arena = Calibro_oat.Arena
 
   type outcome = { pf_cases : int; pf_failures : string list }
 
@@ -408,13 +407,12 @@ module Proto = struct
                  "seed %d: refusing a lying report length allocated %.0f                   bytes"
                  seed allocated)
           else None );
-      ( "zero-copy Built frame parses clean",
+      ( "Built frame parses clean",
         fun () ->
-          (* The arena writer is a second implementation of the Built
-             encoding; hold it to the Buffer path's reader. A frame
-             emitted by [emit_built] and drained by [write_arena] must
-             come back through [read_frame]/[decode_response] as exactly
-             the response the reference encoder describes. *)
+          (* A random container, framed by [write_frame] the way the
+             daemon answers a build, must come back through
+             [read_frame]/[decode_response] as exactly the response it
+             encoded. *)
           let oat =
             { Oat_file.apk_name = "fuzz-" ^ string_of_int seed;
               text = Bytes.of_string (bytes r (4 * (1 + (next r mod 256))));
@@ -443,10 +441,7 @@ module Proto = struct
           let writer =
             Thread.create
               (fun () ->
-                (try
-                   let arena = Arena.create () in
-                   P.emit_built arena ~oat ~stats;
-                   P.write_arena b arena
+                (try P.write_frame b (P.encode_response reference)
                  with _ -> ());
                 try Unix.shutdown b Unix.SHUTDOWN_SEND
                 with Unix.Unix_error _ -> ())
@@ -460,22 +455,22 @@ module Proto = struct
               | Ok _ ->
                 Some
                   (Printf.sprintf
-                     "seed %d: arena-written Built decoded to a different \
+                     "seed %d: written Built decoded to a different \
                       response"
                      seed)
               | Error m ->
                 Some
                   (Printf.sprintf
-                     "seed %d: arena-written Built refused by decoder: %s"
+                     "seed %d: written Built refused by decoder: %s"
                      seed m))
             | exception P.Frame_error m ->
               Some
                 (Printf.sprintf
-                   "seed %d: arena-written Built refused by read_frame: %s"
+                   "seed %d: written Built refused by read_frame: %s"
                    seed m)
             | exception e ->
               Some
-                (Printf.sprintf "seed %d: arena-written Built raised %s" seed
+                (Printf.sprintf "seed %d: written Built raised %s" seed
                    (Printexc.to_string e))
           in
           Thread.join writer;

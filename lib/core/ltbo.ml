@@ -24,7 +24,6 @@ open Calibro_suffix_tree
 module Obs = Calibro_obs.Obs
 module Json = Calibro_obs.Json
 module Cache = Calibro_cache.Cache
-module Arena = Calibro_oat.Arena
 
 let outlined_sym_base = 0x500000
 
@@ -380,39 +379,49 @@ let rewrite_method_sites (cm : Compiled_method.t) (sites : site list) :
     let remap = Array.make (n_words + 1) (-1) in
     let new_relocs = ref [] in
     let new_pos = ref 0 in
-    (* The rewritten words go straight into the domain's scratch arena in
-       walk order (they are emitted at strictly increasing offsets), then
-       one copy out. The previous version consed every surviving word
-       onto an int list and replayed it in reverse — two heap words of
-       minor-gen garbage per instruction per rewritten method, on every
-       build. *)
-    let new_code =
-      Arena.with_scratch @@ fun arena ->
-      let rec walk w sites =
-        if w >= n_words then ()
-        else
-          match sites with
-          | { st_off; st_len_words; st_sym } :: rest when st_off = w * 4 ->
-            (* Replace the occurrence with one bl. *)
-            remap.(w) <- !new_pos;
-            for k = 1 to st_len_words - 1 do
-              remap.(w + k) <- !new_pos
-            done;
-            Arena.add_i32_le arena
-              (Encode.encode (Isa.Bl { target = Isa.Sym st_sym }));
-            new_relocs := (!new_pos, st_sym) :: !new_relocs;
-            new_pos := !new_pos + 4;
-            walk (w + st_len_words) rest
-          | _ ->
-            remap.(w) <- !new_pos;
-            Arena.add_i32_le arena (Encode.word_of_bytes code (w * 4));
-            new_pos := !new_pos + 4;
-            walk (w + 1) sites
-      in
-      walk 0 sites;
-      remap.(n_words) <- !new_pos;
-      Arena.to_bytes arena
+    (* Each site collapses [st_len_words] words into one [bl], so the
+       rewritten size is known before the walk, provided the sites are
+       word-aligned, in bounds and disjoint. Detection guarantees that,
+       but its results may come back from a disk cache, so it is checked:
+       the walk below would skip a site that starts inside another. The
+       words are then written at strictly increasing offsets into one
+       exact-size buffer. *)
+    let new_size, _ =
+      List.fold_left
+        (fun (size, next) s ->
+          if s.st_off land 3 <> 0 || s.st_off < next || s.st_len_words < 1
+             || s.st_off + (4 * s.st_len_words) > old_size
+          then
+            raise
+              (Ltbo_error
+                 (Printf.sprintf "bad outline site at %d in %s" s.st_off
+                    (Calibro_dex.Dex_ir.method_ref_to_string
+                       cm.Compiled_method.name)));
+          (size - (4 * (s.st_len_words - 1)), s.st_off + (4 * s.st_len_words)))
+        (old_size, 0) sites
     in
+    let new_code = Bytes.create new_size in
+    let rec walk w sites =
+      if w < n_words then
+        match sites with
+        | { st_off; st_len_words; st_sym } :: rest when st_off = w * 4 ->
+          (* Replace the occurrence with one bl. *)
+          for k = 0 to st_len_words - 1 do
+            remap.(w + k) <- !new_pos
+          done;
+          Encode.word_to_bytes new_code !new_pos
+            (Encode.encode (Isa.Bl { target = Isa.Sym st_sym }));
+          new_relocs := (!new_pos, st_sym) :: !new_relocs;
+          new_pos := !new_pos + 4;
+          walk (w + st_len_words) rest
+        | _ ->
+          remap.(w) <- !new_pos;
+          Bytes.blit code (w * 4) new_code !new_pos 4;
+          new_pos := !new_pos + 4;
+          walk (w + 1) sites
+    in
+    walk 0 sites;
+    remap.(n_words) <- !new_pos;
     let remap_off off =
       if off land 3 <> 0 || off < 0 || off > old_size then
         invalid_arg (Printf.sprintf "Ltbo.remap: bad offset %d" off)

@@ -88,7 +88,8 @@ val rewrite_method_sites : Compiled_method.t -> site list -> Compiled_method.t
 (** Steps 3 and 4 for one method: replace each site with a [bl], rebuild
     the offset map, patch PC-relative instructions in the bytes, remap
     metadata and stackmaps, and validate the result.
-    @raise Ltbo_error if stackmap consistency is broken (a bug). *)
+    @raise Ltbo_error if a site is misaligned, out of bounds or overlaps
+    another, or if stackmap consistency is broken (a bug). *)
 
 type result = {
   methods : Compiled_method.t list;

@@ -120,8 +120,7 @@ let detect_parallel ?max_domains ?cache ?digest_of ?scope ~options
    second-order repeats, sequences that only become identical once their
    differing parts were outlined away: the whole-program iteration Chabbi
    et al. describe for iOS. Outlined functions carry no metadata, so they
-   are never re-outlined. The rewrite and the final link run through the
-   calling domain's scratch arena ({!Calibro_oat.Arena.with_scratch}). *)
+   are never re-outlined. *)
 let run ?cache ?digest_of ?scope ?(options = Ltbo.default_options) ~k
     ~rounds (methods : Compiled_method.t list) : Ltbo.result =
   let rec go round sym_base digest_of (acc : Ltbo.result) =

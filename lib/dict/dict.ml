@@ -16,7 +16,6 @@
 open Calibro_core
 module Oat_file = Calibro_oat.Oat_file
 module Linker = Calibro_oat.Linker
-module Arena = Calibro_oat.Arena
 module Abi = Calibro_codegen.Abi
 module Obs = Calibro_obs.Obs
 module Chash = Calibro_chash.Chash
@@ -53,18 +52,18 @@ let image_digest image = Chash.to_hex (Chash.bytes image)
 let saved ~apps ~size = (apps - 1) * size
 
 let of_entry_list ranked =
-  let a = Arena.create () in
+  let b = Buffer.create 4096 in
   let slots = Hashtbl.create (List.length ranked * 2) in
   let entries =
     List.map
       (fun (body, apps) ->
-        let off = Arena.length a in
-        Arena.add_string a body;
+        let off = Buffer.length b in
+        Buffer.add_string b body;
         Hashtbl.replace slots body off;
         { e_offset = off; e_size = String.length body; e_apps = apps })
       ranked
   in
-  let image = Arena.to_bytes a in
+  let image = Buffer.to_bytes b in
   { dt_image = image;
     dt_digest = image_digest image;
     dt_entries = entries;

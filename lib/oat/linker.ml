@@ -147,39 +147,33 @@ let link ~apk_name ?(thunks = []) ?(extra = []) ?dict ?shelve
     | None -> raise (Link_error (Printf.sprintf "undefined symbol %d" sym))
   in
   let relocated = ref 0 in
-  (* Layout and relocation run in the domain's off-heap scratch arena —
-     segment assembly and word patching touch no OCaml heap until the one
-     final [to_bytes], so a warm worker domain relinks without churning
-     the minor heap on intermediate segment buffers. The entries were
-     assigned contiguous offsets above, so appending in the same order
-     tiles the arena exactly. *)
-  let text =
-    Arena.with_scratch @@ fun arena ->
-    Obs.span ~cat:"link" "link.layout" (fun () ->
-        List.iter (fun (_, _, code) -> Arena.add_bytes arena code) thunk_entries;
-        List.iter
-          (fun ((m : Compiled_method.t), _) -> Arena.add_bytes arena m.code)
-          method_entries;
-        List.iter (fun (xf, _) -> Arena.add_bytes arena xf.xf_code) extra_entries;
-        assert (Arena.length arena = !pos));
-    (* ---- Relocate bl sites. *)
-    Obs.span ~cat:"link" "link.relocate"
-      ~args:(fun () -> [ ("relocations", Json.Int !relocated) ])
-      (fun () ->
-        List.iter
-          (fun ((m : Compiled_method.t), off) ->
-            List.iter
-              (fun (site, sym) ->
-                let target = resolve sym in
-                incr relocated;
-                let at = off + site in
-                let word = Arena.get_u32_le arena at in
-                Arena.set_u32_le arena at
-                  (Patch.patch_word word ~disp:(target - at)))
-              m.relocs)
-          method_entries);
-    Arena.to_bytes arena
-  in
+  (* The entries were assigned contiguous offsets above, so the final
+     text size is [!pos] and each body blits straight to its offset. *)
+  let text = Bytes.create !pos in
+  Obs.span ~cat:"link" "link.layout" (fun () ->
+      List.iter
+        (fun (_, off, code) -> Bytes.blit code 0 text off (Bytes.length code))
+        thunk_entries;
+      List.iter
+        (fun ((m : Compiled_method.t), off) ->
+          Bytes.blit m.code 0 text off (Bytes.length m.code))
+        method_entries;
+      List.iter
+        (fun (xf, off) ->
+          Bytes.blit xf.xf_code 0 text off (Bytes.length xf.xf_code))
+        extra_entries);
+  (* ---- Relocate bl sites. *)
+  Obs.span ~cat:"link" "link.relocate"
+    ~args:(fun () -> [ ("relocations", Json.Int !relocated) ])
+    (fun () ->
+      List.iter
+        (fun ((m : Compiled_method.t), off) ->
+          List.iter
+            (fun (site, sym) ->
+              incr relocated;
+              Patch.relocate_bl text ~off:(off + site) ~target:(resolve sym))
+            m.relocs)
+        method_entries);
   Obs.Counter.add "linker.relocations_patched" !relocated;
   Obs.Gauge.set "linker.last_text_size" (float_of_int (Bytes.length text));
   (* ---- Shelf image: parked bodies in slot order, each [bl] patched with
@@ -210,12 +204,9 @@ let link ~apk_name ?(thunks = []) ?(extra = []) ?dict ?shelve
             (fun (site, sym) ->
               let target_abs = Abi.text_base + resolve sym in
               let at = off + site in
-              let at_abs = Abi.shelf_base + at in
-              let word = Int32.to_int (Bytes.get_int32_le image at)
-                         land 0xFFFFFFFF in
               incr relocated;
-              Bytes.set_int32_le image at
-                (Int32.of_int (Patch.patch_word word ~disp:(target_abs - at_abs))))
+              Patch.patch_bytes image ~off:at
+                ~disp:(target_abs - (Abi.shelf_base + at)))
             sb.sb_relocs)
         placed;
       Obs.Counter.add "linker.shelved_placed" (List.length bodies);

@@ -150,14 +150,9 @@ exception Oat_error of string
 let magic = "CALIBOAT"
 let version = 4 (* v4: shelf image + entries + shelve policy digest *)
 
-(* Append the serialized container to [a]. This is the only writer: the
-   serving path emits straight into the response-frame arena (no
-   intermediate [bytes] of the container at all), and [to_bytes] below is
-   a thin wrapper over a scratch arena — one serialization to keep
-   byte-compatible. *)
-let emit (t : t) (a : Arena.t) : unit =
-  Arena.add_string a magic;
-  Arena.add_i32_le a version;
+(* The one serializer: every region's size is known up front, so the
+   container is written into one exact-size [bytes]. *)
+let to_bytes (t : t) : bytes =
   (* No_sharing: the default encoding writes back-references for
      physically shared blocks, so two structurally equal method tables
      can serialize to different bytes (e.g. a cache-warm build decodes
@@ -172,22 +167,34 @@ let emit (t : t) (a : Arena.t) : unit =
       (t.apk_name, t.dict_digest, shelve_meta, t.methods, t.thunks, t.outlined)
       [ Marshal.No_sharing ]
   in
-  Arena.add_i32_le a (String.length payload);
-  Arena.add_string a payload;
-  Arena.add_i32_le a (Bytes.length t.text);
-  Arena.add_bytes a t.text;
   (* The shelf image rides after the text segment; a build with nothing
      shelved writes a zero length and stays byte-stable. *)
-  match t.shelve with
-  | None -> Arena.add_i32_le a 0
-  | Some s ->
-    Arena.add_i32_le a (Bytes.length s.shf_image);
-    Arena.add_bytes a s.shf_image
-
-let to_bytes (t : t) : bytes =
-  Arena.with_scratch @@ fun a ->
-  emit t a;
-  Arena.to_bytes a
+  let shelf =
+    match t.shelve with None -> Bytes.empty | Some s -> s.shf_image
+  in
+  let out =
+    Bytes.create
+      (String.length magic + 16 + String.length payload + Bytes.length t.text
+     + Bytes.length shelf)
+  in
+  let pos = ref 0 in
+  let add_i32 v =
+    Bytes.set_int32_le out !pos (Int32.of_int v);
+    pos := !pos + 4
+  in
+  let add_bytes b =
+    Bytes.blit b 0 out !pos (Bytes.length b);
+    pos := !pos + Bytes.length b
+  in
+  add_bytes (Bytes.unsafe_of_string magic);
+  add_i32 version;
+  add_i32 (String.length payload);
+  add_bytes (Bytes.unsafe_of_string payload);
+  add_i32 (Bytes.length t.text);
+  add_bytes t.text;
+  add_i32 (Bytes.length shelf);
+  add_bytes shelf;
+  out
 
 let of_bytes (buf : bytes) : (t, string) result =
   (* Every region is bounds-checked before it is read, so a file truncated

@@ -35,7 +35,8 @@ let request ~endpoint rq =
         match send t rq with
         | () -> recv t
         | exception Unix.Unix_error (e, _, _) ->
-          Error ("send: " ^ Unix.error_message e))
+          Error ("send: " ^ Unix.error_message e)
+        | exception Protocol.Frame_error m -> Error ("send: " ^ m))
 
 let hello ~endpoint =
   match connect endpoint with
@@ -48,6 +49,7 @@ let hello ~endpoint =
         match Protocol.write_frame t.fd (Protocol.encode_hello ()) with
         | exception Unix.Unix_error (e, _, _) ->
           Error ("send: " ^ Unix.error_message e)
+        | exception Protocol.Frame_error m -> Error ("send: " ^ m)
         | () -> (
           match recv t with
           | Ok (Protocol.Dict_info { di_digest }) -> Ok di_digest
@@ -68,6 +70,7 @@ let report ~endpoint r =
         match Protocol.write_frame t.fd (Protocol.encode_report r) with
         | exception Unix.Unix_error (e, _, _) ->
           Error ("send: " ^ Unix.error_message e)
+        | exception Protocol.Frame_error m -> Error ("send: " ^ m)
         | () -> (
           match recv t with
           | Ok (Protocol.Report_ack { ra_drift; ra_relink }) ->

@@ -35,13 +35,23 @@ let really_read fd n ~what =
   in
   go 0
 
-let really_write fd s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
+(* The one socket writer: every frame, whatever its kind, leaves in a
+   single [write] loop with header and payload together (the accepted TCP
+   sockets keep Nagle on, so a split header risks a delayed-ACK stall).
+   [write] is the syscall, substitutable by tests. *)
+let really_write ~write fd s =
+  let n = String.length s in
   let rec go off =
     if off < n then
-      let k = restart_on_intr (fun () -> Unix.write fd b off (n - off)) in
-      go (off + k)
+      match restart_on_intr (fun () -> write fd s off (n - off)) with
+      | 0 ->
+        (* A blocking write never returns 0 for a nonempty buffer;
+           retrying would spin this thread forever. *)
+        raise
+          (Frame_error
+             (Printf.sprintf "zero-length write (%d of %d bytes unsent)"
+                (n - off) n))
+      | k -> go (off + k)
   in
   go 0
 
@@ -53,10 +63,10 @@ let header payload =
 
 let to_frame payload = header payload ^ payload
 
-let write_frame fd payload =
+let write_frame ?(write = Unix.write_substring) fd payload =
   if String.length payload > max_frame then
     raise (Frame_error "refusing to send oversized frame");
-  really_write fd (to_frame payload)
+  really_write ~write fd (to_frame payload)
 
 let read_frame fd =
   let hdr = really_read fd 8 ~what:"frame header" in
@@ -413,47 +423,6 @@ let decode_response =
   in
   finish c "response";
   r
-
-(* ---- Zero-copy Built frames ---------------------------------------------
-
-   The serving hot path. [encode_response] on a Built pays for the OAT
-   container twice more after [Oat_file.to_bytes] already built it
-   (Buffer fill, [Buffer.contents]), then [to_frame]'s [^] and
-   [really_write]'s [Bytes.of_string] copy the whole frame twice again.
-   [emit_built] assembles the complete frame — header included — in an
-   off-heap arena, backpatching the two length fields around
-   [Oat_file.emit], and [write_arena] drains it through a reused staging
-   chunk. Byte-for-byte identical to the Buffer path (the frame-encoding
-   equivalence battery in test_server holds both writers together). *)
-
-module Arena = Calibro_oat.Arena
-
-let emit_built (a : Arena.t) ~(oat : Calibro_oat.Oat_file.t)
-    ~(stats : build_stats) =
-  let u32 v =
-    if v < 0 || v > 0xFFFFFFFF then
-      invalid_arg (Printf.sprintf "u32 out of range: %d" v);
-    Arena.add_i32_le a v
-  in
-  Arena.add_string a magic;
-  let frame_len_at = Arena.reserve a 4 in
-  let payload_start = Arena.length a in
-  Arena.add_char a (Char.chr tag_built);
-  let oat_len_at = Arena.reserve a 4 in
-  let oat_start = Arena.length a in
-  Calibro_oat.Oat_file.emit oat a;
-  Arena.set_u32_le a oat_len_at (Arena.length a - oat_start);
-  u32 stats.bs_text_size;
-  u32 stats.bs_methods;
-  u32 stats.bs_thunks;
-  u32 stats.bs_outlined;
-  Arena.add_f64_le a stats.bs_build_s;
-  let payload_len = Arena.length a - payload_start in
-  if payload_len > max_frame then
-    raise (Frame_error "refusing to send oversized frame");
-  Arena.set_u32_le a frame_len_at payload_len
-
-let write_arena fd (a : Arena.t) = Arena.write_fd a fd
 
 (* ---- Router views ---------------------------------------------------------
 

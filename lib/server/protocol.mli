@@ -29,7 +29,8 @@ val max_frame : int
 
 exception Frame_error of string
 (** Raised by {!read_frame} on EOF, bad magic, an oversized length or a
-    payload cut short — protocol-level damage, as opposed to
+    payload cut short, and by {!write_frame} on an oversized payload or a
+    write that makes no progress — protocol-level damage, as opposed to
     [Unix.Unix_error] which escapes for the caller to interpret (e.g. a
     receive timeout on a stalled client). *)
 
@@ -37,9 +38,17 @@ val read_frame : Unix.file_descr -> string
 (** Read one frame, returning its payload.
     @raise Frame_error on protocol damage (see above). *)
 
-val write_frame : Unix.file_descr -> string -> unit
-(** Frame [payload] and write it fully. Unix errors (e.g. [EPIPE] when
-    the peer vanished) escape to the caller. *)
+val write_frame :
+  ?write:(Unix.file_descr -> string -> int -> int -> int) ->
+  Unix.file_descr -> string -> unit
+(** Frame [payload] and write it fully, header and payload in one write
+    loop; every response kind, [Built] included, leaves through here.
+    Retries short writes and [EINTR]. Unix errors (e.g. [EPIPE] when the
+    peer vanished) escape to the caller.
+    @raise Frame_error if [payload] exceeds {!max_frame}, or if a write
+    returns 0 for a nonempty remainder (retrying would spin forever).
+    [write] substitutes the write syscall, {!Unix.write_substring}
+    (tests). *)
 
 val to_frame : string -> string
 (** The exact bytes {!write_frame} would send: header plus payload. The
@@ -145,27 +154,6 @@ type response =
 
 val encode_response : response -> string
 val decode_response : string -> (response, string) result
-
-(** {2 Zero-copy Built frames}
-
-    The serving hot path: a [Built] response assembled directly in an
-    off-heap {!Calibro_oat.Arena.t} — frame header, response tag, OAT
-    container ({!Calibro_oat.Oat_file.emit}), stats — and drained to the
-    socket with staged writes, instead of the
-    [to_bytes]/[encode_response]/[to_frame] chain that copies the
-    container several times. Byte-identical to
-    [write_frame fd (encode_response (Built ...))]. *)
-
-val emit_built :
-  Calibro_oat.Arena.t -> oat:Calibro_oat.Oat_file.t -> stats:build_stats ->
-  unit
-(** Append the complete frame (header included) for
-    [Built { oat = to_bytes oat; stats }] to the arena.
-    @raise Frame_error if the payload would exceed {!max_frame}. *)
-
-val write_arena : Unix.file_descr -> Calibro_oat.Arena.t -> unit
-(** Write the arena's contents fully; retries [EINTR] and short writes.
-    Unix errors (e.g. [EPIPE]) escape like {!write_frame}'s. *)
 
 (** {2 Router views}
 

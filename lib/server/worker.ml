@@ -67,11 +67,9 @@ let stats_of_oat ~build_s (oat : Calibro_oat.Oat_file.t) =
 
 (* Parse, build, summarize. Every failure mode a request can provoke maps
    to a typed rejection; nothing escapes. Returns the whole build record:
-   the serving path emits the response frame straight from its OAT
-   ([Protocol.emit_built]) without materializing the container string,
-   its config's hot methods (config hot methods merged with the request
-   profile's) are the PGO loop's "served hot set", and its cache hits are
-   what a relink reports. *)
+   its OAT is what the response carries, its config's hot methods (config
+   hot methods merged with the request profile's) are the PGO loop's
+   "served hot set", and its cache hits are what a relink reports. *)
 let build ~cache ?dict (rq : Protocol.build_request) :
     (Pipeline.build * Protocol.build_stats, Protocol.rejection) result =
   let ( let* ) = Result.bind in
@@ -148,30 +146,17 @@ let build_oat ~cache ?dict rq =
 
 let hot_of (b : Pipeline.build) = b.Pipeline.b_config.Config.hot_methods
 
+(* The wire form of a built OAT. The container bytes are fresh and never
+   mutated, so they become the response string without another copy. *)
+let built (oat, stats) =
+  Protocol.Built
+    { oat = Bytes.unsafe_to_string (Calibro_oat.Oat_file.to_bytes oat); stats }
+
 let build_response ~cache ?dict (rq : Protocol.build_request) :
     Protocol.response =
   match build_oat ~cache ?dict rq with
-  | Ok (oat, stats) ->
-    Protocol.Built
-      { oat = Bytes.to_string (Calibro_oat.Oat_file.to_bytes oat); stats }
+  | Ok v -> built v
   | Error rej -> Protocol.Rejected rej
-
-(* Serve a successful build zero-copy: frame emitted into the domain's
-   scratch arena straight from the Oat_file, one staged drain to the
-   socket. Same delivery contract as [respond]. *)
-let respond_built fd ~oat ~stats =
-  let delivered =
-    match
-      Calibro_oat.Arena.with_scratch (fun a ->
-          Protocol.emit_built a ~oat ~stats;
-          Protocol.write_arena fd a)
-    with
-    | () -> true
-    | exception Unix.Unix_error _ -> false
-    | exception Protocol.Frame_error _ -> false
-  in
-  close_quietly fd;
-  delivered
 
 let outcome_counter = function
   | Ok _ -> "ok"
@@ -216,7 +201,7 @@ let handle_client ~cache ~dict ~pgo (job : client_job) =
       Obs.Counter.incr "server.jobs.ok";
       Obs.Counter.incr "server.jobs.refreshed";
       let stats = stats_of_oat ~build_s oat in
-      if not (respond_built job.j_fd ~oat ~stats) then
+      if not (respond job.j_fd (built (oat, stats))) then
         Obs.Counter.incr "server.responses.lost";
       Obs.Histogram.observe "server.latency_s"
         (Int64.to_float (Int64.sub (Clock.now_ns ()) job.j_accepted_ns)
@@ -252,7 +237,7 @@ let handle_client ~cache ~dict ~pgo (job : client_job) =
       | _ -> ());
       let delivered =
         match result with
-        | Ok (b, stats) -> respond_built job.j_fd ~oat:b.Pipeline.b_oat ~stats
+        | Ok (b, stats) -> respond job.j_fd (built (b.Pipeline.b_oat, stats))
         | Error rej -> respond job.j_fd (Protocol.Rejected rej)
       in
       if not delivered then Obs.Counter.incr "server.responses.lost";

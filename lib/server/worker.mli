@@ -77,10 +77,7 @@ val build_oat :
   cache:Calibro_cache.Cache.t option -> ?dict:Calibro_oat.Linker.dict ->
   Protocol.build_request ->
   (Calibro_oat.Oat_file.t * Protocol.build_stats, Protocol.rejection) result
-(** The job body without the socket: parse, build, summarize. The serving
-    path feeds the [Ok] case to {!Protocol.emit_built} so the response
-    frame is written from the structured OAT without ever materializing
-    the container string.
+(** The job body without the socket: parse, build, summarize.
 
     [dict] is the dictionary this daemon serves. A request with
     [rq_dict = None] builds self-contained regardless; [Some want] must
@@ -102,12 +99,5 @@ val build_response :
 (** {!build_oat} re-wrapped as the wire-level response (the [Built] oat
     field is the serialized container) — exposed so tests and the load
     generator can produce the exact expected response for a request
-    in-process, and as the reference encoder the frame-equivalence tests
-    hold {!Protocol.emit_built} against. *)
-
-val respond_built :
-  Unix.file_descr ->
-  oat:Calibro_oat.Oat_file.t -> stats:Protocol.build_stats -> bool
-(** {!respond} for a successful build, zero-copy: the frame is emitted
-    into the domain's scratch arena and drained with staged writes. Same
-    delivery contract as {!respond}. *)
+    in-process. The daemon answers a built job with the same response,
+    through {!respond}. *)

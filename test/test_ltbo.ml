@@ -432,6 +432,35 @@ let table2_suite =
 
 let suite = suite @ table2_suite
 
+let site_suite =
+  [ Alcotest.test_case "rewrite sizes exactly; overlapping sites are typed"
+      `Quick (fun () ->
+        let open Calibro_aarch64 in
+        let open Calibro_codegen in
+        let instrs = List.init 6 (fun i -> Isa.mov_reg ~size:Isa.X i 7) in
+        let cm =
+          { Compiled_method.name =
+              { Calibro_dex.Dex_ir.class_name = "ex"; method_name = "m" };
+            slot = 0; code = Encode.to_bytes instrs; relocs = [];
+            meta = Meta.empty; stackmap = []; num_params = 0;
+            is_entry = false; cto_hits = [] }
+        in
+        let site off len = { Ltbo.st_off = off; st_len_words = len; st_sym = 9 } in
+        let out = Ltbo.rewrite_method_sites cm [ site 4 2; site 12 3 ] in
+        Alcotest.(check int) "6 words - 1 - 2" 12
+          (Bytes.length out.Compiled_method.code);
+        Alcotest.(check (list (pair int int))) "bl relocations" [ (4, 9); (8, 9) ]
+          out.Compiled_method.relocs;
+        List.iter
+          (fun sites ->
+            match Ltbo.rewrite_method_sites cm sites with
+            | _ -> Alcotest.fail "bad sites accepted"
+            | exception Ltbo.Ltbo_error _ -> ())
+          [ [ site 4 3; site 8 2 ]; [ site 2 1 ]; [ site 16 3 ] ])
+  ]
+
+let suite = suite @ site_suite
+
 (* ---- Structural invariants over a full generated app --------------------- *)
 
 let invariant_suite =

@@ -659,124 +659,51 @@ let serve_tests =
         | Ok served -> Alcotest.check response "tcp-served build" expected served)
   ]
 
-(* ---- Zero-copy Built frames ----------------------------------------------
+(* ---- The one frame writer -----------------------------------------------
 
-   [Protocol.emit_built] is a second, off-heap implementation of the Built
-   wire encoding, and [Worker.respond_built] is its delivery path. Both
-   are held byte-for-byte to the original Buffer chain
-   ([Oat_file.to_bytes] / [encode_response] / [to_frame]) — the contract
-   that lets the daemon switch paths without any client noticing. *)
+   Every response, a [Built] included, leaves through [Worker.respond] and
+   [Protocol.write_frame]: encode, frame, one write loop, close. These
+   cases hold that writer to its delivery contract. *)
 
 module Oat_file = Calibro_oat.Oat_file
-module Arena = Calibro_oat.Arena
 
-let built_fixtures () =
-  (* Real builds across configs (exercising thunks, outlined entries and
-     metadata) plus handmade edge containers (empty text, no methods). *)
-  let real =
-    List.filter_map
-      (fun (config : Config.t) ->
-        match Worker.build_oat ~cache:None (demo_request ~config ()) with
-        | Ok (oat, stats) -> Some (config.Config.name, oat, stats)
-        | Error r ->
-          Alcotest.failf "%s failed in-process: %s" config.Config.name
-            (Protocol.rejection_to_string r))
-      [ Config.baseline; Config.cto; Config.cto_ltbo_pl ~k:2 () ]
-  in
-  let stats0 =
-    { Protocol.bs_text_size = 0;
-      bs_methods = 0;
-      bs_thunks = 0;
-      bs_outlined = 0;
-      bs_build_s = 0.0 }
-  in
-  let empty =
-    ( "empty container",
-      { Oat_file.apk_name = "empty";
-        text = Bytes.create 0;
-        methods = [];
-        thunks = [];
-        outlined = [];
-        dict_digest = None;
-        shelve = None },
-      stats0 )
-  in
-  let tiny =
-    ( "outlined-only container",
-      { Oat_file.apk_name = "tiny";
-        text = Bytes.make 16 '\x1f';
-        methods = [];
-        thunks = [];
-        outlined = [ { Oat_file.ol_offset = 0; ol_size = 16 } ];
-        dict_digest = Some (String.make 32 'a');
-        shelve = None },
-      { stats0 with Protocol.bs_text_size = 16; bs_outlined = 1 } )
-  in
-  real @ [ empty; tiny ]
+let demo_build () =
+  match Worker.build_oat ~cache:None (demo_request ~config:Config.cto ()) with
+  | Ok v -> v
+  | Error r ->
+    Alcotest.failf "build failed in-process: %s"
+      (Protocol.rejection_to_string r)
 
-let zero_copy_tests =
-  [ Alcotest.test_case "arena Built frame = Buffer-path frame, byte for byte"
-      `Quick
+let writer_tests =
+  [ Alcotest.test_case "respond refuses an oversized Built" `Quick
       (fun () ->
-        List.iter
-          (fun (name, oat, stats) ->
-            let reference =
-              Protocol.to_frame
-                (Protocol.encode_response
-                   (Protocol.Built
-                      { oat = Bytes.to_string (Oat_file.to_bytes oat);
-                        stats }))
-            in
-            let a = Arena.create () in
-            Protocol.emit_built a ~oat ~stats;
-            Alcotest.(check string) name reference
-              (Bytes.to_string (Arena.to_bytes a)))
-          (built_fixtures ()));
-    Alcotest.test_case "emit_built refuses an oversized frame" `Quick
+        (* A container larger than max_frame must be refused by the writer
+           (nothing sent, undelivered), mirroring read_frame's bound on
+           the other side. *)
+        let _, stats = demo_build () in
+        let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Fun.protect
+          ~finally:(fun () -> Unix.close a)
+          (fun () ->
+            Alcotest.(check bool) "undelivered" false
+              (Worker.respond b
+                 (Protocol.Built
+                    { oat = String.make (Protocol.max_frame + 1) 'x'; stats }));
+            match Protocol.read_frame a with
+            | _ -> Alcotest.fail "an oversized Built frame was sent"
+            | exception Protocol.Frame_error m ->
+              Alcotest.(check bool) "peer saw EOF" true
+                (Astring.String.is_infix ~affix:"EOF" m)));
+    Alcotest.test_case "respond Built round-trips" `Quick
       (fun () ->
-        (* A container whose text alone exceeds max_frame must be refused
-           by the writer (typed Frame_error), mirroring read_frame's bound
-           on the other side. *)
-        let oat =
-          { Oat_file.apk_name = "huge";
-            text = Bytes.create (Protocol.max_frame + 1);
-            methods = [];
-            thunks = [];
-            outlined = [];
-            dict_digest = None;
-            shelve = None }
-        in
-        let stats =
-          { Protocol.bs_text_size = Bytes.length oat.Oat_file.text;
-            bs_methods = 0;
-            bs_thunks = 0;
-            bs_outlined = 0;
-            bs_build_s = 0.0 }
-        in
-        let a = Arena.create () in
-        match Protocol.emit_built a ~oat ~stats with
-        | () -> Alcotest.fail "oversized Built frame was emitted"
-        | exception Protocol.Frame_error _ -> ());
-    Alcotest.test_case "respond_built round-trips to build_response" `Quick
-      (fun () ->
-        (* The full delivery path — scratch arena, staged writes, close —
-           read back through the standard client-side decoder, against the
-           reference encoder's response for the same build. *)
+        (* The full delivery path — encode, frame, write, close — read
+           back through the standard client-side decoder. *)
         let rq = demo_request ~config:Config.cto () in
         let expected = Worker.build_response ~cache:None rq in
-        let oat, stats =
-          match Worker.build_oat ~cache:None rq with
-          | Ok v -> v
-          | Error r ->
-            Alcotest.failf "build failed in-process: %s"
-              (Protocol.rejection_to_string r)
-        in
         let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
         let delivered = ref false in
         let writer =
-          Thread.create
-            (fun () -> delivered := Worker.respond_built b ~oat ~stats)
-            ()
+          Thread.create (fun () -> delivered := Worker.respond b expected) ()
         in
         let served =
           match Protocol.decode_response (Protocol.read_frame a) with
@@ -786,59 +713,51 @@ let zero_copy_tests =
         Thread.join writer;
         Unix.close a;
         Alcotest.(check bool) "delivered" true !delivered;
-        Alcotest.check response "respond_built = build_response" expected
-          served);
-    Alcotest.test_case "respond_built to a dead peer reports undelivered"
-      `Quick
+        Alcotest.check response "served = build_response" expected served);
+    Alcotest.test_case "respond to a dead peer is undelivered" `Quick
       (fun () ->
-        let oat, stats =
-          match
-            Worker.build_oat ~cache:None (demo_request ~config:Config.cto ())
-          with
-          | Ok v -> v
-          | Error r ->
-            Alcotest.failf "build failed in-process: %s"
-              (Protocol.rejection_to_string r)
-        in
+        let oat, stats = demo_build () in
         let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
         Unix.close a;
         (* EPIPE territory: must come back false, never raise, and the fd
            must be closed (a second close raises EBADF). *)
         Alcotest.(check bool) "undelivered" false
-          (Worker.respond_built b ~oat ~stats);
+          (Worker.respond b
+             (Protocol.Built
+                { oat = Bytes.to_string (Oat_file.to_bytes oat); stats }));
         Alcotest.(check bool) "fd closed" true
           (match Unix.close b with
           | () -> false
           | exception Unix.Unix_error (Unix.EBADF, _, _) -> true));
-    Alcotest.test_case "write_fd raises Write_error on a zero-length write"
-      `Quick
+    Alcotest.test_case "zero-length write is a Frame_error" `Quick
       (fun () ->
         (* Regression: a [write] returning 0 for a nonempty buffer used to
            spin the writer thread forever. Inject one and demand the typed
            error instead. *)
-        let a = Arena.create () in
-        Arena.add_string a "undeliverable payload";
         let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
         Fun.protect
           ~finally:(fun () -> Unix.close null)
           (fun () ->
-            match Arena.write_fd ~write:(fun _ _ _ _ -> 0) a null with
+            match
+              Protocol.write_frame ~write:(fun _ _ _ _ -> 0) null
+                "undeliverable payload"
+            with
             | () -> Alcotest.fail "zero-length write was not an error"
-            | exception Arena.Write_error _ -> ()));
-    Alcotest.test_case "write_fd propagates EPIPE from a dead peer" `Quick
+            | exception Protocol.Frame_error m ->
+              Alcotest.(check bool) "names the zero-length write" true
+                (Astring.String.is_infix ~affix:"zero-length" m)));
+    Alcotest.test_case "write_frame propagates EPIPE" `Quick
       (fun () ->
-        (* The raw arena layer under respond_built: writing to a peer that
-           hung up must surface the broken pipe as Unix_error, not hide it
-           — respond_built's undelivered=false depends on seeing it. *)
+        (* Writing to a peer that hung up must surface the broken pipe as
+           Unix_error, not hide it: respond's undelivered=false depends on
+           seeing it. *)
         Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
         let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
         Unix.close a;
-        let arena = Arena.create () in
-        Arena.add_string arena (String.make 65536 'x');
         Fun.protect
           ~finally:(fun () -> Unix.close b)
           (fun () ->
-            match Arena.write_fd arena b with
+            match Protocol.write_frame b (String.make 65536 'x') with
             | () -> Alcotest.fail "write to a dead peer succeeded"
             | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _)
               -> ())) ]
@@ -2143,5 +2062,5 @@ let live_counter_tests =
 
 let suite =
   codec_tests @ transport_tests @ ring_tests @ queue_tests @ serve_tests
-  @ zero_copy_tests @ fault_tests @ router_tests @ e2e_tests
+  @ writer_tests @ fault_tests @ router_tests @ e2e_tests
   @ dict_service_tests @ drain_tests @ pgo_tests @ live_counter_tests
