@@ -119,9 +119,14 @@ let build ?(cache = Lazy.force env_cache) ?(config = Config.baseline) ?dict
       raise (Build_error ("undefined method " ^ Dex_ir.method_ref_to_string name))
   in
   (* Frontend + IR optimization + codegen, per method (Figure 5's per-method
-     lanes). With a cache, hits skip HGraph construction, the IR passes and
-     codegen; misses are compiled as before, digested, and stored. The
-     token digests feed the LTBO detection memo below. *)
+     lanes), compiled in parallel under [Parallel.map]. With a cache, hits
+     skip HGraph construction, the IR passes and codegen. The caller
+     computes every key and lookup first, the misses (and their token
+     digests) compile in parallel, and the caller then stores them in
+     method order, so the cache has one writer per build. A key includes
+     its method's slot, so no miss could have hit an entry stored earlier
+     in the same build. The token digests feed the LTBO detection memo
+     below. *)
   let digests = Array.make (List.length methods) None in
   let method_hits = ref 0 in
   let compile_method (m : Dex_ir.meth) =
@@ -132,28 +137,40 @@ let build ?(cache = Lazy.force env_cache) ?(config = Config.baseline) ?dict
   in
   let compiled =
     timed phases "dex2oat" (fun () ->
+        let ms = Array.of_list methods in
         match cache with
-        | None -> List.map compile_method methods
+        | None -> Array.to_list (Parallel.map compile_method ms)
         | Some c ->
-          List.mapi
-            (fun i (m : Dex_ir.meth) ->
-              let key =
+          let keys =
+            Array.map
+              (fun (m : Dex_ir.meth) ->
                 method_key ~config ~slot_of_method
-                  ~slot:(slot_of_method m.Dex_ir.name) m
-              in
-              match Cache.find_method c key with
-              | Some e ->
-                incr method_hits;
-                digests.(i) <- Some e.Cache.ce_token_digest;
-                e.Cache.ce_method
-              | None ->
-                let cm = compile_method m in
-                let d = Seq_map.method_digest cm in
-                digests.(i) <- Some d;
-                Cache.add_method c key
-                  { Cache.ce_method = cm; ce_token_digest = d };
-                cm)
-            methods)
+                  ~slot:(slot_of_method m.Dex_ir.name) m)
+              ms
+          in
+          let entries = Array.map (Cache.find_method c) keys in
+          let misses =
+            List.init (Array.length ms) Fun.id
+            |> List.filter (fun i -> Option.is_none entries.(i))
+            |> Array.of_list
+          in
+          let fresh =
+            Parallel.map
+              (fun i ->
+                let cm = compile_method ms.(i) in
+                { Cache.ce_method = cm; ce_token_digest = Seq_map.method_digest cm })
+              misses
+          in
+          Array.iter2
+            (fun i e ->
+              Cache.add_method c keys.(i) e;
+              entries.(i) <- Some e)
+            misses fresh;
+          method_hits := Array.length ms - Array.length misses;
+          List.init (Array.length ms) (fun i ->
+              let e = Option.get entries.(i) in
+              digests.(i) <- Some e.Cache.ce_token_digest;
+              e.Cache.ce_method))
   in
   (* Shelving (the "Shelving it rather than Ditching it" composition):
      partition the compiled methods into the profile-warm survivors and

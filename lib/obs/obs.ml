@@ -27,7 +27,7 @@ type hist_shard = {
 
 (* One span and histogram shard per domain. Single writer (the owning
    domain); readers are the snapshot functions, which by contract run
-   only when no worker domain is live. Counters are not sharded. *)
+   only when no parallel section is running. Counters are not sharded. *)
 type buf = {
   tid : int;
   mutable events : span_event list;  (* newest first *)

@@ -21,10 +21,14 @@
     domain that created it, and it must not be shared by systhreads of
     that domain. Their snapshot functions ({!events},
     {!Histogram.summary}, {!metrics_json}, {!trace_json}, {!reset}) read
-    every shard and must run when no worker domain is live, i.e. after
-    the joins. The pipeline joins all PlOpti domains before returning,
-    so callers that snapshot between builds (the bench harness, the fuzz
-    driver, tests) satisfy this by construction.
+    every shard and must run when no parallel section is running: no
+    [Calibro_core.Parallel.map] call in flight and no server worker
+    domain live. The helper domains of [Parallel.map]'s pool outlive the
+    calls, but a parked helper writes nothing, and [map] returns only
+    after every helper it claimed has finished. A build returns only
+    after its parallel sections, so callers that snapshot between builds
+    (the bench harness, the fuzz driver, tests) satisfy this by
+    construction.
 
     Recording is always on; the cost of a span is two clock reads and a
     cons. Per-domain buffers are bounded: past the cap events are dropped
@@ -114,4 +118,4 @@ val export :
     calibro_fuzz, bench) shares: write {!metrics_json} (with [?extra]
     appended) to the [metrics] path and {!trace_json} to the [trace]
     path, skipping whichever is [None]. Being a snapshot, this must run
-    after all worker domains have joined. *)
+    when no parallel section is running (see above). *)

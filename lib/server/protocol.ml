@@ -55,18 +55,37 @@ let really_write ~write fd s =
   in
   go 0
 
-let header payload =
-  let b = Buffer.create 8 in
-  Buffer.add_string b magic;
-  Buffer.add_int32_le b (Int32.of_int (String.length payload));
-  Buffer.contents b
-
-let to_frame payload = header payload ^ payload
-
-let write_frame ?(write = Unix.write_substring) fd payload =
-  if String.length payload > max_frame then
+let write_framed ?(write = Unix.write_substring) fd frame =
+  if String.length frame - 8 > max_frame then
     raise (Frame_error "refusing to send oversized frame");
-  really_write ~write fd (to_frame payload)
+  really_write ~write fd frame
+
+let set_header f =
+  Bytes.blit_string magic 0 f 0 4;
+  Bytes.set_int32_le f 4 (Int32.of_int (Bytes.length f - 8))
+
+let to_frame payload =
+  let f = Bytes.create (8 + String.length payload) in
+  set_header f;
+  Bytes.blit_string payload 0 f 8 (String.length payload);
+  Bytes.unsafe_to_string f
+
+let write_frame ?write fd payload = write_framed ?write fd (to_frame payload)
+
+(* An encoder writes its payload after 8 reserved header bytes in its own
+   buffer, so the finished frame leaves the buffer in one copy
+   ([framed]), and so does the bare payload ([payload]). *)
+let encoder hint =
+  let b = Buffer.create (hint + 8) in
+  Buffer.add_int64_le b 0L;
+  b
+
+let framed b =
+  let f = Buffer.to_bytes b in
+  set_header f;
+  Bytes.unsafe_to_string f
+
+let payload b = Buffer.sub b 8 (Buffer.length b - 8)
 
 let read_frame fd =
   let hdr = really_read fd 8 ~what:"frame header" in
@@ -341,9 +360,9 @@ let rejection_code = function
   | Dict_mismatch _ -> 9
   | Unknown_app _ -> 10
 
-let encode_response (r : response) =
+let response_encoder (r : response) =
   let b =
-    Buffer.create
+    encoder
       (match r with Built { oat; _ } -> String.length oat + 64 | _ -> 64)
   in
   (match r with
@@ -373,7 +392,10 @@ let encode_response (r : response) =
      w_u8 b tag_report_ack;
      w_f64 b ra_drift;
      w_bool b ra_relink);
-  Buffer.contents b
+  b
+
+let encode_response r = payload (response_encoder r)
+let frame_response r = framed (response_encoder r)
 
 let decode_response =
   decoding @@ fun c ->

@@ -50,6 +50,13 @@ val write_frame :
     [write] substitutes the write syscall, {!Unix.write_substring}
     (tests). *)
 
+val write_framed :
+  ?write:(Unix.file_descr -> string -> int -> int -> int) ->
+  Unix.file_descr -> string -> unit
+(** {!write_frame} for bytes that are already a whole frame (header
+    included), such as {!frame_response}'s: sent as they are, with no
+    copy. Same errors as {!write_frame}. *)
+
 val to_frame : string -> string
 (** The exact bytes {!write_frame} would send: header plus payload. The
     fault-injection tests mangle this ({!Calibro_check.Fault.Server}). *)
@@ -154,6 +161,10 @@ type response =
 
 val encode_response : response -> string
 val decode_response : string -> (response, string) result
+
+val frame_response : response -> string
+(** [to_frame (encode_response r)], built in the encoder's own buffer:
+    the response leaves it in one copy, ready for {!write_framed}. *)
 
 (** {2 Router views}
 

@@ -37,6 +37,7 @@ type t = {
   queue : Worker.job Queue.t;
   pool : Worker.pool;
   stop : bool Atomic.t;  (* drain requested *)
+  wake : Unix.file_descr option Atomic.t;  (* [join]'s pipe, write end *)
   drained : bool Atomic.t;
   drain_lock : Mutex.t;
   mutable accept_thread : Thread.t option;
@@ -46,7 +47,15 @@ type t = {
 
 let endpoint t = t.endpoint
 let draining t = Atomic.get t.stop
-let request_drain t = Atomic.set t.stop true
+(* write(2) is async-signal-safe and takes no lock, so this can run
+   from the SIGTERM handler while [join] sleeps on the pipe's read end. *)
+let request_drain t =
+  Atomic.set t.stop true;
+  match Atomic.get t.wake with
+  | None -> ()
+  | Some fd -> (
+    try ignore (Unix.single_write_substring fd "!" 0 1)
+    with Unix.Unix_error _ -> ())
 
 (* ---- Connection handling ------------------------------------------------ *)
 
@@ -175,8 +184,7 @@ let handle_connection t fd =
 let accept_loop t () =
   let rec loop () =
     match Unix.accept t.listen_fd with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-      if not (Atomic.get t.stop) then loop ()
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
     | exception Unix.Unix_error _ ->
       (* The listening socket was shut down (drain) or is otherwise
          unusable; either way accepting is over. *)
@@ -222,6 +230,7 @@ let create (cfg : config) =
       queue;
       pool;
       stop = Atomic.make false;
+      wake = Atomic.make None;
       drained = Atomic.make false;
       drain_lock = Mutex.create ();
       accept_thread = None;
@@ -236,27 +245,41 @@ let drain t =
   Fun.protect ~finally:(fun () -> Mutex.unlock t.drain_lock) @@ fun () ->
   if not (Atomic.get t.drained) then begin
     Atomic.set t.stop true;
+    (* No new admissions: readers refuse every Build as [Draining], and
+       the closed queue refuses one from a reader that raced the flag.
+       The workers finish what was admitted, then exit. Meanwhile the
+       listener stays open, so a client that connects during the drain
+       gets that typed answer instead of a vanished socket. *)
+    Queue.close t.queue;
+    Worker.join t.pool;
     (* Wake the accept loop: shutdown on a listening socket makes a
        blocked accept(2) return with an error. *)
     (try Unix.shutdown t.listen_fd Unix.SHUTDOWN_ALL
      with Unix.Unix_error _ -> ());
     (match t.accept_thread with Some th -> Thread.join th | None -> ());
-    (* Let in-flight reader threads finish admitting or rejecting. *)
+    (* Let in-flight reader threads finish answering. *)
     while Atomic.get t.readers > 0 do
       Thread.delay 0.001
     done;
-    (* No new admissions; workers drain what was admitted, then exit. *)
-    Queue.close t.queue;
-    Worker.join t.pool;
     Transport.close_listener t.endpoint t.listen_fd;
     Obs.Gauge.set "server.queue_depth" 0.0;
     Atomic.set t.drained true
   end
 
+(* Sleep until {!request_drain} writes to the wake pipe. [wake] is
+   published before [stop] is read, and [request_drain] sets [stop]
+   before it reads [wake], so a drain requested at any moment is seen.
+   The write end is never closed: a late signal must not write into a
+   descriptor number that was closed and reused. *)
 let join t =
+  let r, w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock w;
+  Atomic.set t.wake (Some w);
   while not (Atomic.get t.stop) do
-    Thread.delay 0.05
+    try ignore (Unix.select [ r ] [] [] (-1.0))
+    with Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done;
+  Unix.close r;
   drain t
 
 let install_sigterm t =

@@ -22,9 +22,11 @@
     is exported live through the [server.queue_depth] gauge.
 
     Graceful drain ({!drain}, or SIGTERM via {!install_sigterm} +
-    {!join}): stop accepting, answer nothing new, finish every admitted
-    job, join the workers, close the listener (removing a Unix socket
-    file) — then return, so the caller can exit 0. *)
+    {!join}): admit nothing new (every new Build is answered with a
+    typed [Draining], while [Hello] and [Report] are still answered),
+    finish every admitted job and join the workers, then stop accepting
+    and close the listener (removing a Unix socket file) — then return,
+    so the caller can exit 0. *)
 
 type config = {
   endpoint : Transport.endpoint;
@@ -76,8 +78,9 @@ val create : config -> t
     @raise Unix.Unix_error if the endpoint cannot be bound. *)
 
 val request_drain : t -> unit
-(** Flag the server to drain. Async-signal-safe (one atomic store); the
-    actual drain is performed by {!join} or {!drain}. *)
+(** Flag the server to drain, and wake a {!join} sleeping on it at once.
+    Async-signal-safe (an atomic store and one non-blocking [write(2)]);
+    the actual drain is performed by {!join} or {!drain}. *)
 
 val draining : t -> bool
 
@@ -88,7 +91,10 @@ val drain : t -> unit
 
 val join : t -> unit
 (** Block until {!request_drain} is called (typically from the SIGTERM
-    handler), then {!drain}. The daemon's main loop. *)
+    handler), then {!drain}. The daemon's main loop: it sleeps on a pipe
+    {!request_drain} writes to, so the drain starts as soon as the
+    signal is handled. Keeps one descriptor (the pipe's write end) open
+    for the life of the process. *)
 
 val install_sigterm : t -> unit
 (** Route SIGTERM (and SIGINT) to {!request_drain} on this server. *)

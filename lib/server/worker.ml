@@ -28,7 +28,7 @@ let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 let respond fd resp =
   let delivered =
-    match Protocol.write_frame fd (Protocol.encode_response resp) with
+    match Protocol.write_framed fd (Protocol.frame_response resp) with
     | () -> true
     | exception Unix.Unix_error _ -> false
     | exception Protocol.Frame_error _ -> false
@@ -208,9 +208,9 @@ let handle_client ~cache ~dict ~pgo (job : client_job) =
         /. 1e9)
     | None ->
       (* GC accounting for the gate's allocated-bytes-per-served-build
-         line: everything from parse to the last frame byte, this domain
-         only. *)
-      let alloc0 = Gc.allocated_bytes () in
+         line: everything from parse to the last frame byte, on this
+         domain and on the pool helpers its build put to work. *)
+      let alloc0 = Parallel.allocated_bytes () in
       (* The dictionary is read at dispatch time: a job admitted before a
          rotation builds against the dictionary of the moment it runs, and
          the digest check inside [build_oat] keeps the answer honest. *)
@@ -244,7 +244,7 @@ let handle_client ~cache ~dict ~pgo (job : client_job) =
       (match result with
       | Ok _ ->
         Obs.Counter.add "server.built.alloc_bytes"
-          (int_of_float (Gc.allocated_bytes () -. alloc0))
+          (int_of_float (Parallel.allocated_bytes () -. alloc0))
       | Error _ -> ());
       Obs.Histogram.observe "server.latency_s"
         (Int64.to_float (Int64.sub (Clock.now_ns ()) job.j_accepted_ns)
@@ -280,8 +280,12 @@ let handle ~cache ~dict ~pgo (job : job) =
 
 let job_fd = function Client j -> Some j.j_fd | Relink _ -> None
 
+(* A worker holds its core for its whole life ([Parallel.occupy]): with
+   as many workers as cores, builds never claim pool helpers, and no
+   helper domain is even spawned to slow the workers' minor collections. *)
 let worker_loop ~cache ~dict ~pgo queue () =
   Obs.span ~cat:"server" "server.worker" @@ fun () ->
+  Parallel.occupy @@ fun () ->
   let rec loop () =
     match Queue.pop queue with
     | None -> ()

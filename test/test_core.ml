@@ -247,10 +247,10 @@ let parallel_tests =
           counts);
     Alcotest.test_case "domain pool matches sequential detection" `Slow
       (fun () ->
-        (* More groups than pool workers forces detect_parallel to cycle
-           the atomic work counter; the results must be identical to
-           running Ltbo.detect over the same groups one by one, in input
-           group order. *)
+        (* More groups than domains forces detect_parallel to cycle the
+           atomic work counter; the results must be identical to running
+           Ltbo.detect over the same groups one by one, in input group
+           order. *)
         let a = Calibro_workload.Appgen.generate Calibro_workload.Apps.demo in
         let _, cms = compile_methods a.Calibro_workload.Appgen.app in
         let marr = Array.of_list cms in
@@ -260,18 +260,13 @@ let parallel_tests =
                  Calibro_codegen.Meta.outlinable
                    marr.(i).Calibro_codegen.Compiled_method.meta)
         in
-        (* Pin the pool to 3 workers (so this also exercises real domains
-           on a single-core host) and hand it more groups than workers. *)
-        let n_workers = 3 in
-        let n_groups = (2 * n_workers) + 1 in
+        let n_groups = (2 * Domain.recommended_domain_count ()) + 1 in
         let groups =
           List.init n_groups (fun i ->
               [ List.nth idxs (i mod List.length idxs) ])
         in
         let options = Ltbo.default_options in
-        let par =
-          Parallel.detect_parallel ~max_domains:n_workers ~options marr groups
-        in
+        let par = Parallel.detect_parallel ~options marr groups in
         let seq = List.map (fun g -> Ltbo.detect ~options marr g) groups in
         Alcotest.(check int) "group count" (List.length seq) (List.length par);
         List.iteri
@@ -280,6 +275,87 @@ let parallel_tests =
               (Printf.sprintf "group %d decisions+stats equal" i)
               true (p = s))
           (List.combine par seq))
+  ]
+
+(* ---- Parallel.map: the fork-join pool ------------------------------------ *)
+
+let pool_size = max 0 (Domain.recommended_domain_count () - 1)
+let self_id () = (Domain.self () :> int)
+
+let parallel_map_tests =
+  [ Alcotest.test_case "map keeps input order with more items than domains"
+      `Quick (fun () ->
+        let a = Array.init 1000 (fun i -> i) in
+        let f i = (i * i) + Hashtbl.hash i in
+        Alcotest.(check (array int)) "same as Array.map" (Array.map f a)
+          (Parallel.map f a));
+    Alcotest.test_case "map runs empty and one-element arrays on the caller"
+      `Quick (fun () ->
+        let ran = ref [] in
+        let f x =
+          ran := self_id () :: !ran;
+          x + 1
+        in
+        Alcotest.(check (array int)) "empty" [||] (Parallel.map f [||]);
+        Alcotest.(check (list int)) "f never ran" [] !ran;
+        Alcotest.(check (array int)) "one element" [| 8 |]
+          (Parallel.map f [| 7 |]);
+        Alcotest.(check (list int)) "ran once, on the caller" [ self_id () ]
+          !ran);
+    Alcotest.test_case "map re-raises the lowest failing index" `Quick
+      (fun () ->
+        let f i =
+          if i = 3 || i = 11 then
+            raise (Calibro_hgraph.Passes.Pass_error (string_of_int i));
+          Unix.sleepf 0.002;
+          i
+        in
+        (match Parallel.map f (Array.init 16 Fun.id) with
+         | _ -> Alcotest.fail "no exception"
+         | exception Calibro_hgraph.Passes.Pass_error m ->
+           Alcotest.(check string) "index 3's exception" "3" m);
+        (* The pool survived: the next call still spreads its items over
+           the helpers, and no new helper was spawned. *)
+        let before = Parallel.helpers () in
+        let ids =
+          Parallel.map
+            (fun _ ->
+              Unix.sleepf 0.02;
+              self_id ())
+            (Array.make 8 ())
+        in
+        let domains = List.sort_uniq compare (Array.to_list ids) in
+        Alcotest.(check int) "pool size unchanged" before (Parallel.helpers ());
+        Alcotest.(check bool) "helpers took part" true
+          (pool_size = 0 || List.length domains > 1));
+    Alcotest.test_case "nested and concurrent maps finish" `Quick (fun () ->
+        let inner i = Array.init 50 (fun j -> i * j) in
+        let sum = Array.fold_left ( + ) 0 in
+        let nested a =
+          Parallel.map (fun i -> sum (Parallel.map Fun.id (inner i))) a
+        in
+        let a = Array.init 20 Fun.id in
+        let want = Array.map (fun i -> sum (inner i)) a in
+        Alcotest.(check (array int)) "nested" want (nested a);
+        let caller () =
+          List.init 20 (fun _ -> nested a = want) |> List.for_all Fun.id
+        in
+        let ds = List.init 2 (fun _ -> Domain.spawn caller) in
+        Alcotest.(check (list bool)) "two concurrent callers" [ true; true ]
+          (List.map Domain.join ds));
+    Alcotest.test_case "50 builds leave exactly the pool's helpers" `Slow
+      (fun () ->
+        let apk =
+          (Calibro_workload.Appgen.generate Calibro_workload.Apps.demo)
+            .Calibro_workload.Appgen.app
+        in
+        for _ = 1 to 50 do
+          ignore
+            (Pipeline.build ~cache:None ~config:(Config.cto_ltbo_pl ~k:4 ())
+               apk)
+        done;
+        Alcotest.(check int) "recommended - 1 helpers" pool_size
+          (Parallel.helpers ()))
   ]
 
 let workload_vm_tests =
@@ -545,3 +621,4 @@ let pipeline_edge_tests =
 let suite =
   seq_map_tests @ redundancy_tests @ parallel_tests @ interval_set_tests
   @ pipeline_edge_tests @ workload_vm_tests @ profile_tests @ report_tests
+  @ parallel_map_tests

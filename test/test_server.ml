@@ -165,6 +165,9 @@ let check_request_roundtrip name rq =
       (Protocol.Build rq = rq')
 
 let check_response_roundtrip name resp =
+  Alcotest.(check string) (name ^ " frames in the encoder's buffer")
+    (Protocol.to_frame (Protocol.encode_response resp))
+    (Protocol.frame_response resp);
   match Protocol.decode_response (Protocol.encode_response resp) with
   | Error e -> Alcotest.failf "%s did not decode: %s" name e
   | Ok resp' -> Alcotest.check response name resp resp'
@@ -662,8 +665,8 @@ let serve_tests =
 (* ---- The one frame writer -----------------------------------------------
 
    Every response, a [Built] included, leaves through [Worker.respond] and
-   [Protocol.write_frame]: encode, frame, one write loop, close. These
-   cases hold that writer to its delivery contract. *)
+   [Protocol.write_framed]: encode and frame in one buffer, one write
+   loop, close. These cases hold that writer to its delivery contract. *)
 
 module Oat_file = Calibro_oat.Oat_file
 
@@ -694,6 +697,22 @@ let writer_tests =
             | exception Protocol.Frame_error m ->
               Alcotest.(check bool) "peer saw EOF" true
                 (Astring.String.is_infix ~affix:"EOF" m)));
+    Alcotest.test_case "a Built frame leaves its encoder in one copy" `Quick
+      (fun () ->
+        (* The encoder's buffer (sized up front) and the frame copied out
+           of it: about two frames' worth of bytes, where framing the
+           encoded payload afterwards costs two more copies. *)
+        let oat = String.make 1_000_000 'o' in
+        let resp = Protocol.Built { oat; stats = sample_stats } in
+        let a0 = Gc.allocated_bytes () in
+        let frame = Protocol.frame_response resp in
+        let allocated = Gc.allocated_bytes () -. a0 in
+        let size = float_of_int (String.length frame) in
+        Alcotest.(check bool)
+          (Printf.sprintf "%.0f bytes allocated for a %.0f-byte frame"
+             allocated size)
+          true
+          (allocated < 2.1 *. size));
     Alcotest.test_case "respond Built round-trips" `Quick
       (fun () ->
         (* The full delivery path — encode, frame, write, close — read
@@ -1409,7 +1428,51 @@ let dict_service_tests =
 (* ---- Graceful drain ------------------------------------------------------- *)
 
 let drain_tests =
-  [ Alcotest.test_case "SIGTERM drains: in-flight finish, then exit" `Quick
+  [ Alcotest.test_case "a build sent mid-drain is answered Draining" `Quick
+      (fun () ->
+        (* One worker busy with a slow build (the global-tree LTBO of the
+           largest app) keeps the drain open. A client that connects
+           meanwhile must get the typed refusal, not a vanished socket. *)
+        let slow =
+          request ~config:Config.cto_ltbo
+            (Calibro_dex.Dex_text.to_string
+               (Appgen.generate Apps.kuaishou).Appgen.app)
+        in
+        let delta = deltas () in
+        with_server ~workers:1 (fun t ->
+            let endpoint = Server.endpoint t in
+            let first = Atomic.make (Error "not run") in
+            let client =
+              Thread.create
+                (fun () -> Atomic.set first (Client.request ~endpoint slow))
+                ()
+            in
+            check_eventually "slow build admitted" 1 (fun () ->
+                delta "server.requests.accepted");
+            let drainer =
+              Thread.create
+                (fun () ->
+                  Server.request_drain t;
+                  Server.drain t)
+                ()
+            in
+            Thread.delay 0.05;
+            let late = Client.request ~endpoint (demo_request ()) in
+            Thread.join drainer;
+            Thread.join client;
+            (match late with
+             | Ok (Protocol.Rejected Protocol.Draining) -> ()
+             | Ok r ->
+               Alcotest.failf "late build got %s"
+                 (Format.asprintf "%a" (Alcotest.pp response) r)
+             | Error m -> Alcotest.failf "late build got no answer: %s" m);
+            match Atomic.get first with
+            | Ok (Protocol.Built _) -> ()
+            | Ok r ->
+              Alcotest.failf "admitted build got %s"
+                (Format.asprintf "%a" (Alcotest.pp response) r)
+            | Error m -> Alcotest.failf "admitted build lost: %s" m));
+    Alcotest.test_case "SIGTERM drains: in-flight finish, then exit" `Quick
       (fun () ->
         let cache = Calibro_cache.Cache.create () in
         let socket = fresh_socket () in
