@@ -702,7 +702,37 @@ let detect_bench () =
   Printf.printf "  fold_repeats: %8.4fs  %12.0f elements/s\n" t_fold
     (n /. t_fold);
   let eps, _ = detect_eps () in
-  Printf.printf "  ltbo_detect (end to end): %12.0f elements/s\n%!" eps
+  Printf.printf "  ltbo_detect (end to end): %12.0f elements/s\n%!" eps;
+  (* Where one detection's time goes, read from its Obs spans: the
+     fastest of three runs. *)
+  let phases =
+    [ "ltbo.map_sequence"; "ltbo.tree_build"; "ltbo.fold_repeats";
+      "ltbo.select" ]
+  in
+  let span_s name =
+    List.fold_left
+      (fun acc (e : Obs.span_event) ->
+        if e.Obs.ev_name = name then acc +. (Int64.to_float e.Obs.ev_dur_ns /. 1e9)
+        else acc)
+      0.0 (Obs.events ())
+  in
+  let runs =
+    List.init 3 (fun _ ->
+        Obs.reset ();
+        ignore (Ltbo.detect ~options marr candidates);
+        (span_s "ltbo.detect", List.map span_s phases))
+  in
+  let total, split =
+    List.fold_left
+      (fun ((bt, _) as best) ((t, _) as run) -> if t < bt then run else best)
+      (List.hd runs) runs
+  in
+  Printf.printf "  one ltbo.detect: %.4fs\n" total;
+  List.iter2
+    (fun name s ->
+      Printf.printf "    %-18s %8.4fs  %5.1f%%\n" name s (100. *. s /. total))
+    phases split;
+  Printf.printf "%!"
 
 (* ---- Incremental-rebuild micro-benchmark (bench incr) ---------------------- *)
 

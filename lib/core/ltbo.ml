@@ -85,9 +85,21 @@ let merge_stats a b =
 let detect_uncached ~options (methods : Compiled_method.t array)
     (group : int list) : decision list * stats =
   let a = Seq_map.new_allocator () in
-  (* Concatenate per-method element lists; record the provenance of every
-     sequence slot. *)
-  let values = ref [] and prov = ref [] in
+  (* Concatenate the methods' sequences; record the provenance of every
+     sequence slot: its method index and byte offset, offset -1 for a
+     separator. A method yields at most one element per word, one boundary
+     separator per branch and its closing separator, which bounds the
+     arrays. *)
+  let cap =
+    List.fold_left
+      (fun acc mi ->
+        let cm = methods.(mi) in
+        acc + (Bytes.length cm.Compiled_method.code / 4)
+        + List.length cm.Compiled_method.meta.Meta.pc_rel + 1)
+      0 group
+  in
+  let values = Array.make cap 0 in
+  let p_method = Array.make cap 0 and p_off = Array.make cap (-1) in
   let n_elements = ref 0 in
   Obs.span ~cat:"ltbo" "ltbo.map_sequence" (fun () ->
   List.iter
@@ -97,30 +109,24 @@ let detect_uncached ~options (methods : Compiled_method.t array)
       let eligible off =
         (not hot) || Meta.in_slowpath cm.Compiled_method.meta off
       in
-      let elements = Seq_map.map_method ~eligible cm a in
-      List.iter
-        (fun (v, elt) ->
-          values := v :: !values;
-          incr n_elements;
-          prov :=
-            (match elt with
-             | Seq_map.Word (_, off) -> Some (mi, off)
-             | Seq_map.Separator -> None)
-            :: !prov)
-        elements;
+      let push v off =
+        let k = !n_elements in
+        values.(k) <- v;
+        p_method.(k) <- mi;
+        p_off.(k) <- off;
+        n_elements := k + 1
+      in
+      Seq_map.iter_method ~eligible cm a ~f:push;
       (* Hard separator at every method boundary. *)
-      values := Seq_map.fresh_sep a :: !values;
-      incr n_elements;
-      prov := None :: !prov)
+      push (Seq_map.fresh_sep a) (-1))
     group);
-  let seq = Array.of_list (List.rev !values) in
-  let prov = Array.of_list (List.rev !prov) in
+  let seq = Array.sub values 0 !n_elements in
   let tree =
     Obs.span ~cat:"ltbo" "ltbo.tree_build"
       ~args:(fun () -> [ ("sequence_elements", Json.Int !n_elements) ])
       (fun () -> Suffix_tree.build seq)
   in
-  (* Gather repeats worth considering. *)
+  (* Gather repeats worth considering, each with its estimated saving. *)
   let considered = ref 0 in
   let candidates =
     Obs.span ~cat:"ltbo" "ltbo.fold_repeats" (fun () ->
@@ -128,23 +134,17 @@ let detect_uncached ~options (methods : Compiled_method.t array)
           ~max_length:options.max_length tree ~init:[]
           ~f:(fun acc (r : Suffix_tree.repeat) ->
             incr considered;
+            let length = r.Suffix_tree.length in
             let repeats = List.length r.Suffix_tree.positions in
-            if Benefit.worthwhile ~length:r.Suffix_tree.length ~repeats then
-              r :: acc
+            if Benefit.worthwhile ~length ~repeats then
+              (Benefit.saving ~length ~repeats, r) :: acc
             else acc))
   in
   (* Largest estimated saving first; ties broken towards longer sequences
      for stability. *)
   let candidates =
-    List.sort
-      (fun (a : Suffix_tree.repeat) (b : Suffix_tree.repeat) ->
-        let sa =
-          Benefit.saving ~length:a.Suffix_tree.length
-            ~repeats:(List.length a.Suffix_tree.positions)
-        and sb =
-          Benefit.saving ~length:b.Suffix_tree.length
-            ~repeats:(List.length b.Suffix_tree.positions)
-        in
+    List.stable_sort
+      (fun ((sa, a) : int * Suffix_tree.repeat) (sb, b) ->
         match compare sb sa with
         | 0 -> compare b.Suffix_tree.length a.Suffix_tree.length
         | c -> c)
@@ -172,7 +172,7 @@ let detect_uncached ~options (methods : Compiled_method.t array)
   let saved = ref 0 and occ_total = ref 0 in
   Obs.span ~cat:"ltbo" "ltbo.select" (fun () ->
   List.iter
-    (fun (r : Suffix_tree.repeat) ->
+    (fun ((_, r) : int * Suffix_tree.repeat) ->
       let len = r.Suffix_tree.length in
       let byte_len = len * 4 in
       (* Self-overlap filter first (sequence positions), then the global
@@ -183,10 +183,10 @@ let detect_uncached ~options (methods : Compiled_method.t array)
       let usable =
         List.filter_map
           (fun pos ->
-            match prov.(pos) with
-            | None -> None (* starts at a separator slot: impossible, guard *)
-            | Some (mi, off) ->
-              if overlaps mi off byte_len then None else Some (mi, off))
+            let off = p_off.(pos) and mi = p_method.(pos) in
+            (* a separator slot cannot start a repeat; guard anyway *)
+            if off < 0 || overlaps mi off byte_len then None
+            else Some (mi, off))
           positions
       in
       let repeats = List.length usable in

@@ -54,36 +54,33 @@ let analyze ?(min_length = 2) ?(max_length = 64) (oat : Oat_file.t) : analysis
     =
   let seq = sequence_of_oat oat in
   let tree = Suffix_tree.build seq in
+  (* Each worthwhile repeat with its occurrence count and saving. *)
   let repeats =
     Suffix_tree.repeats ~min_length ~max_length tree
-    |> List.filter (fun (r : Suffix_tree.repeat) ->
-           Benefit.worthwhile ~length:r.length
-             ~repeats:(List.length r.positions))
+    |> List.filter_map (fun (r : Suffix_tree.repeat) ->
+           let count = List.length r.positions in
+           if Benefit.worthwhile ~length:r.length ~repeats:count then
+             Some (Benefit.saving ~length:r.length ~repeats:count, count, r)
+           else None)
   in
   (* Figure 3 histogram over all worthwhile repeats. *)
   let hist = Hashtbl.create 64 in
   List.iter
-    (fun (r : Suffix_tree.repeat) ->
-      let n = List.length r.positions in
+    (fun (_, count, (r : Suffix_tree.repeat)) ->
       Hashtbl.replace hist r.length
-        (n + Option.value ~default:0 (Hashtbl.find_opt hist r.length)))
+        (count + Option.value ~default:0 (Hashtbl.find_opt hist r.length)))
     repeats;
   let histogram =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) hist [] |> List.sort compare
   in
   (* Greedy non-overlapping selection, most profitable first. *)
   let ordered =
-    List.sort
-      (fun (a : Suffix_tree.repeat) (b : Suffix_tree.repeat) ->
-        compare
-          (Benefit.saving ~length:b.length ~repeats:(List.length b.positions))
-          (Benefit.saving ~length:a.length ~repeats:(List.length a.positions)))
-      repeats
+    List.stable_sort (fun (sa, _, _) (sb, _, _) -> compare sb sa) repeats
   in
   let claimed = Interval_set.create () in
   let saved = ref 0 in
   List.iter
-    (fun (r : Suffix_tree.repeat) ->
+    (fun (_, _, (r : Suffix_tree.repeat)) ->
       let len = r.length in
       let usable =
         Suffix_tree.non_overlapping ~length:len r.positions

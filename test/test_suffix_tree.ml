@@ -205,8 +205,285 @@ let non_overlap_props =
              || List.exists (fun c -> abs (p - c) < len) chosen)
            sorted)
 
+(* ---- Child order pinned to the reference construction -------------- *)
+
+(* The construction the committed digests were produced with, kept as a
+   test-only model: one record per node with a [Hashtbl] of children,
+   lowered by a DFS that visits children in [Hashtbl.fold] order. It
+   yields the repeats, in order, that [Suffix_tree.fold_repeats] must
+   reproduce: [Ltbo.detect]'s stable candidate sort breaks ties in that
+   order, so it reaches the OAT bytes. *)
+module Reference = struct
+  type node = {
+    mutable start : int;
+    mutable end_ : int ref;
+    mutable suffix_link : node option;
+    children : (int, node) Hashtbl.t;
+  }
+
+  let build input =
+    let text = Array.append input [| Suffix_tree.terminal |] in
+    let n = Array.length text in
+    let mk_node ~start ~end_ =
+      { start; end_; suffix_link = None;
+        children = Hashtbl.create ~random:false 4 }
+    in
+    let edge_length node = !(node.end_) - node.start in
+    let root = mk_node ~start:(-1) ~end_:(ref (-1)) in
+    let global_end = ref 0 in
+    let active_node = ref root and active_edge = ref 0 in
+    let active_length = ref 0 and remaining = ref 0 in
+    let follow_link () =
+      if !active_node == root && !active_length > 0 then begin
+        decr active_length;
+        active_edge := !global_end - !remaining
+      end
+      else if !active_node != root then
+        active_node :=
+          (match !active_node.suffix_link with Some l -> l | None -> root)
+    in
+    for i = 0 to n - 1 do
+      global_end := i + 1;
+      incr remaining;
+      let last_new_node = ref None in
+      let continue_phase = ref true in
+      while !remaining > 0 && !continue_phase do
+        if !active_length = 0 then active_edge := i;
+        match Hashtbl.find_opt !active_node.children text.(!active_edge) with
+        | None ->
+          Hashtbl.replace !active_node.children text.(!active_edge)
+            (mk_node ~start:i ~end_:global_end);
+          (match !last_new_node with
+           | Some internal ->
+             internal.suffix_link <- Some !active_node;
+             last_new_node := None
+           | None -> ());
+          decr remaining;
+          follow_link ()
+        | Some next ->
+          let el = edge_length next in
+          if !active_length >= el then begin
+            active_node := next;
+            active_edge := !active_edge + el;
+            active_length := !active_length - el
+          end
+          else if text.(next.start + !active_length) = text.(i) then begin
+            (match !last_new_node with
+             | Some internal ->
+               internal.suffix_link <- Some !active_node;
+               last_new_node := None
+             | None -> ());
+            incr active_length;
+            continue_phase := false
+          end
+          else begin
+            let split =
+              mk_node ~start:next.start
+                ~end_:(ref (next.start + !active_length))
+            in
+            Hashtbl.replace !active_node.children text.(!active_edge) split;
+            next.start <- next.start + !active_length;
+            Hashtbl.replace split.children text.(next.start) next;
+            Hashtbl.replace split.children text.(i)
+              (mk_node ~start:i ~end_:global_end);
+            (match !last_new_node with
+             | Some internal -> internal.suffix_link <- Some split
+             | None -> ());
+            last_new_node := Some split;
+            decr remaining;
+            follow_link ()
+          end
+      done
+    done;
+    (root, n)
+
+  (* Every internal node but the root with >= 2 leaves, in the post-order
+     of a DFS that takes children in [Hashtbl.fold] order, as (string
+     depth, sorted suffix indices). *)
+  let repeats input =
+    let root, n = build input in
+    let out = ref [] in
+    let rec visit node depth =
+      let kids =
+        List.rev (Hashtbl.fold (fun _ c acc -> c :: acc) node.children [])
+      in
+      let leaves =
+        List.concat_map
+          (fun c ->
+            let cdepth = depth + !(c.end_) - c.start in
+            if Hashtbl.length c.children = 0 then [ n - cdepth ]
+            else visit c cdepth)
+          kids
+      in
+      if node != root && List.length leaves >= 2 then
+        out := (depth, List.sort compare leaves) :: !out;
+      leaves
+    in
+    ignore (visit root 0 : int list);
+    List.rev !out
+end
+
+let fold_order t =
+  Suffix_tree.fold_repeats t ~init:[] ~f:(fun acc r ->
+      (r.Suffix_tree.length, r.Suffix_tree.positions) :: acc)
+  |> List.rev
+
+let print_input a =
+  String.concat ";" (Array.to_list a |> List.map string_of_int)
+
+let sep_base = Calibro_core.Seq_map.sep_base
+
+(* Blocks [5; 6; s_i; tail] for k distinct s_i, shuffled and joined by
+   unique separators: the nodes for "6" and "5 6" get exactly k children,
+   around the [Hashtbl] resize boundaries, and the root gets every
+   separator. Some s_i appear twice with different tails, so their child
+   is split into an internal node after the key was inserted. *)
+let gen_fanout =
+  QCheck.Gen.(
+    let* k = oneofl [ 31; 32; 33; 63; 64; 65; 127; 128; 129 ] in
+    let* seed = int_bound 1_000_000 in
+    let st = Random.State.make [| k; seed |] in
+    let sep = ref (sep_base + Random.State.int st 5000) in
+    let fresh () = incr sep; !sep in
+    let sym i =
+      if Random.State.bool st then fresh () else 1000 + (i * 3)
+    in
+    let blocks =
+      List.concat
+        (List.init k (fun i ->
+             let s = sym i in
+             let tail () =
+               Array.init (Random.State.int st 3) (fun _ ->
+                   1 + Random.State.int st 3)
+             in
+             let block = Array.concat [ [| 5; 6; s |]; tail () ] in
+             if Random.State.int st 4 = 0 then
+               [ block; Array.concat [ [| 5; 6; s |]; tail (); [| 9 |] ] ]
+             else [ block ]))
+      |> Array.of_list
+    in
+    for i = Array.length blocks - 1 downto 1 do
+      let j = Random.State.int st (i + 1) in
+      let b = blocks.(i) in
+      blocks.(i) <- blocks.(j);
+      blocks.(j) <- b
+    done;
+    return
+      (Array.concat
+         (List.concat_map (fun b -> [ b; [| fresh () |] ]) (Array.to_list blocks))))
+
+(* Short runs over a small alphabet between unique separators, the shape
+   of a mapped method sequence. *)
+let gen_separated =
+  QCheck.Gen.(
+    let* n = int_range 0 400 in
+    let* seed = int_bound 1_000_000 in
+    let st = Random.State.make [| n; seed |] in
+    let sep = ref sep_base in
+    return
+      (Array.init n (fun _ ->
+           if Random.State.int st 3 = 0 then (incr sep; !sep)
+           else Random.State.int st 5)))
+
+let same_order_as_reference name gen count =
+  QCheck.Test.make ~name ~count (QCheck.make gen ~print:print_input)
+    (fun input ->
+      fold_order (Suffix_tree.build input) = Reference.repeats input)
+
+let order_tests =
+  [ same_order_as_reference "repeat order matches the reference: fan-outs"
+      gen_fanout 60;
+    same_order_as_reference "repeat order matches the reference: separated"
+      gen_separated 200;
+    same_order_as_reference "repeat order matches the reference: small"
+      gen_small_array 200 ]
+
+(* ---- Sequence mapping pinned to the list-building form ---------------- *)
+
+(* The mapping the committed digests were produced with: a backward walk
+   that conses one element per word, allocating separators as it goes. *)
+let reference_map_method ?(eligible = fun _ -> true)
+    (cm : Calibro_codegen.Compiled_method.t) (next_sep : int ref) =
+  let open Calibro_aarch64 in
+  let open Calibro_codegen in
+  let open Calibro_core in
+  let fresh () =
+    let v = !next_sep in
+    incr next_sep;
+    v
+  in
+  let meta = cm.Compiled_method.meta and code = cm.Compiled_method.code in
+  let targets = List.map snd meta.Meta.pc_rel in
+  let out = ref [] in
+  for w = (Bytes.length code / 4) - 1 downto 0 do
+    let off = w * 4 in
+    let word = Encode.word_of_bytes code off in
+    let elt =
+      if Meta.is_embedded meta off || not (eligible off) then
+        (fresh (), Seq_map.Separator)
+      else
+        let instr = Decode.decode word in
+        if Isa.is_terminator instr || Isa.is_call instr
+           || Isa.is_pc_relative instr || Isa.reads_lr instr
+           || Isa.writes_lr instr
+        then (fresh (), Seq_map.Separator)
+        else (word, Seq_map.Word (word, off))
+    in
+    out := elt :: !out;
+    if off > 0 && List.mem off targets then
+      out := (fresh (), Seq_map.Separator) :: !out
+  done;
+  !out
+
+let mapping_tests =
+  [ Alcotest.test_case "map_method and iter_method match the reference"
+      `Quick (fun () ->
+        let open Calibro_core in
+        let apk = (Calibro_workload.Appgen.generate Calibro_workload.Apps.demo)
+                    .Calibro_workload.Appgen.app in
+        let methods = Calibro_dex.Dex_ir.methods_of_apk apk in
+        let slots = Hashtbl.create 64 in
+        List.iteri
+          (fun i (m : Calibro_dex.Dex_ir.meth) ->
+            Hashtbl.replace slots m.Calibro_dex.Dex_ir.name i)
+          methods;
+        let compiled =
+          List.map
+            (fun m ->
+              let g = Calibro_hgraph.Hgraph.of_method m in
+              ignore (Calibro_hgraph.Passes.optimize g);
+              Calibro_codegen.Codegen.compile
+                ~config:{ Calibro_codegen.Codegen.cto = true }
+                ~slot_of_method:(Hashtbl.find slots) g)
+            methods
+        in
+        (* every word, and a policy that excludes some of them; one
+           allocator per side across all methods, as in one group *)
+        List.iter
+          (fun eligible ->
+            let next_sep = ref Seq_map.sep_base in
+            let a = Seq_map.new_allocator () in
+            let b = Seq_map.new_allocator () in
+            List.iteri
+              (fun i cm ->
+                let want = reference_map_method ~eligible cm next_sep in
+                let got = Seq_map.map_method ~eligible cm a in
+                let iterated = ref [] in
+                Seq_map.iter_method ~eligible cm b ~f:(fun v off ->
+                    iterated :=
+                      (v, if off < 0 then Seq_map.Separator
+                          else Seq_map.Word (v, off))
+                      :: !iterated);
+                let msg = Printf.sprintf "method %d" i in
+                Alcotest.(check bool) (msg ^ ": map_method") true (got = want);
+                Alcotest.(check bool) (msg ^ ": iter_method") true
+                  (List.rev !iterated = want))
+              compiled)
+          [ (fun _ -> true); (fun off -> off mod 24 <> 8) ]) ]
+
 let suite =
-  banana_tests
+  banana_tests @ mapping_tests
   @ List.map (QCheck_alcotest.to_alcotest ~long:false)
-      [ occurrences_match_naive; repeats_match_naive; all_suffixes_present;
-        non_overlap_props ]
+      ([ occurrences_match_naive; repeats_match_naive; all_suffixes_present;
+         non_overlap_props ]
+       @ order_tests)
