@@ -915,6 +915,23 @@ let parse_alloc_per_byte () =
   let allocated = Gc.allocated_bytes () -. a0 in
   allocated /. float_of_int (List.fold_left (fun n t -> n + String.length t) 0 texts)
 
+(* Words [Passes.optimize] allocates per IR instruction over Kuaishou's
+   methods, on the main domain: like the parse count, it repeats exactly,
+   so the gate holds the IR-pass layer to a tight envelope. *)
+let optimize_alloc_per_insn () =
+  let graphs =
+    Calibro_dex.Dex_ir.methods_of_apk (Appgen.generate Apps.kuaishou).Appgen.app
+    |> List.map Calibro_hgraph.Hgraph.of_method
+  in
+  let insns =
+    List.fold_left (fun n g -> n + Calibro_hgraph.Hgraph.size g) 0 graphs
+  in
+  Gc.minor ();
+  let a0 = Gc.allocated_bytes () in
+  List.iter (fun g -> ignore (Calibro_hgraph.Passes.optimize g)) graphs;
+  let words = (Gc.allocated_bytes () -. a0) /. float_of_int (Sys.word_size / 8) in
+  words /. float_of_int insns
+
 (* One gate measurement: the bench section every row reads (and
    --metrics exports), and the union of the measurement modules'
    correctness failures, which fail the gate and block `baseline`
@@ -922,6 +939,7 @@ let parse_alloc_per_byte () =
 let gate_measure () : Json.t * string list =
   let step what f = Printf.eprintf "[gate] measuring %s...\n%!" what; f () in
   let parse_alloc = step "parse allocation" parse_alloc_per_byte in
+  let optimize_alloc = step "IR pass allocation" optimize_alloc_per_insn in
   let apps, total_s = gate_apps () in
   let eps, elements = step "detection throughput" detect_eps in
   let incr = step "incremental rebuild" incr_measure in
@@ -949,7 +967,10 @@ let gate_measure () : Json.t * string list =
         ("store", Store.section store);
         ("pgo", Pgo_bench.section pgo);
         ("train", Train_bench.section train);
-        ("dex", Json.Obj [ ("parse_alloc_bytes_per_byte", Json.Float parse_alloc) ])
+        ("dex", Json.Obj [ ("parse_alloc_bytes_per_byte", Json.Float parse_alloc) ]);
+        ( "ir",
+          Json.Obj
+            [ ("optimize_alloc_words_per_insn", Json.Float optimize_alloc) ] )
       ],
     List.concat
       [ incr_failures incr;
@@ -1020,8 +1041,10 @@ let gate_rows : Gate.row list =
         (Floor (Round (0.5, 3), 1.));
       row [ "train" ] "pgo_shelved_relink_cache_hits"
         "pgo_shelved_relink_cache_hits_floor" exact_floor;
-      (* an allocation count, exact from run to run: 5 % slack *)
+      (* allocation counts, exact from run to run: 5 % slack *)
       row [ "dex" ] "parse_alloc_bytes_per_byte" "parse_alloc_envelope"
+        (Envelope (Pad 3, 1.05));
+      row [ "ir" ] "optimize_alloc_words_per_insn" "optimize_alloc_envelope"
         (Envelope (Pad 3, 1.05)) ]
 
 (* `baseline`: measure and write every row's bound to [path]; refuses

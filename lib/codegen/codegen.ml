@@ -531,7 +531,10 @@ let compile ?(config = default_config) ~slot_of_method (g : t) :
       { entries = []; next_label = 0; dex_pc = 0; n_calls_seen = 0;
         cache = { assoc = []; rot = 0 };
         config; slot_of_method; cto_hits = Hashtbl.create 4;
-        strings = Hashtbl.create 4; slowpath_labels = []; safepoints = [];
+        (* unseeded: the pool is emitted in this table's iteration order,
+           which must not follow OCAMLRUNPARAM=R *)
+        strings = Hashtbl.create ~random:false 4; slowpath_labels = [];
+        safepoints = [];
         slowpath_regions = []; embedded_regions = [] }
     in
     let method_start = fresh_label e in

@@ -50,11 +50,11 @@ type t = {
   mutable blocks : block array;  (** blocks.(0) is the entry *)
 }
 
-let successors = function
-  | TIf (_, _, _, a, b) | TIfz (_, _, a, b) -> [ a; b ]
-  | TGoto a -> [ a ]
-  | TSwitch (_, cases, default) -> cases @ [ default ]
-  | TReturn _ -> []
+let iter_successors f = function
+  | TIf (_, _, _, a, b) | TIfz (_, _, a, b) -> f a; f b
+  | TGoto a -> f a
+  | TSwitch (_, cases, default) -> List.iter f cases; f default
+  | TReturn _ -> ()
 
 let map_successors f = function
   | TIf (c, a, b, t1, t2) -> TIf (c, a, b, f t1, f t2)
@@ -63,29 +63,19 @@ let map_successors f = function
   | TSwitch (v, cases, d) -> TSwitch (v, List.map f cases, f d)
   | TReturn r -> TReturn r
 
-(* Registers read by an instruction. *)
-let insn_uses = function
-  | HConst _ | HConst_string _ | HNew_instance _ -> []
-  | HMove (_, a) -> [ a ]
-  | HBinop (_, _, a, b) -> [ a; b ]
-  | HBinop_lit (_, _, a, _) -> [ a ]
-  | HInvoke (_, args, _) | HInvoke_runtime (_, args, _) -> args
-  | HNull_check a | HDiv_zero_check a -> [ a ]
-  | HBounds_check (i, a) -> [ i; a ]
-  | HIget (_, o, _) -> [ o ]
-  | HIput (v, o, _) -> [ v; o ]
-  | HAget (_, a, i) -> [ a; i ]
-  | HAput (v, a, i) -> [ v; a; i ]
-  | HArray_len (_, a) -> [ a ]
-
-(* Register written by an instruction, if any. *)
-let insn_def = function
-  | HConst (d, _) | HMove (d, _) | HBinop (_, d, _, _)
-  | HBinop_lit (_, d, _, _) | HNew_instance (_, d) | HIget (d, _, _)
-  | HAget (d, _, _) | HArray_len (d, _) | HConst_string (d, _) -> Some d
-  | HInvoke (_, _, res) | HInvoke_runtime (_, _, res) -> res
-  | HNull_check _ | HBounds_check _ | HDiv_zero_check _ | HIput _ | HAput _ ->
-    None
+(* The registers an instruction names: the ones it reads, in operand
+   order, then the one it writes. *)
+let[@inline] iter_regs f = function
+  | HConst (d, _) | HConst_string (d, _) | HNew_instance (_, d) -> f d
+  | HMove (d, a) | HBinop_lit (_, d, a, _) | HIget (d, a, _)
+  | HArray_len (d, a) -> f a; f d
+  | HBinop (_, d, a, b) | HAget (d, a, b) -> f a; f b; f d
+  | HNull_check a | HDiv_zero_check a -> f a
+  | HBounds_check (a, b) | HIput (a, b, _) -> f a; f b
+  | HAput (v, a, i) -> f v; f a; f i
+  | HInvoke (_, args, res) | HInvoke_runtime (_, args, res) ->
+    List.iter f args;
+    Option.iter f res
 
 (* Can the instruction be removed if its result is unused? *)
 let insn_is_pure = function
@@ -98,28 +88,34 @@ let insn_is_pure = function
   | HBounds_check _ | HDiv_zero_check _ | HIget _ | HIput _ | HAget _
   | HAput _ -> false
 
-let term_uses = function
-  | TIf (_, a, b, _, _) -> [ a; b ]
-  | TIfz (_, a, _, _) -> [ a ]
-  | TSwitch (v, _, _) -> [ v ]
-  | TReturn (Some r) -> [ r ]
-  | TGoto _ | TReturn None -> []
+let iter_term_uses f = function
+  | TIf (_, a, b, _, _) -> f a; f b
+  | TIfz (_, a, _, _) | TSwitch (a, _, _) | TReturn (Some a) -> f a
+  | TGoto _ | TReturn None -> ()
 
 (* ---- Builder: DEX bytecode -> HGraph --------------------------------- *)
 
-(* Instruction indices that start a basic block. *)
+(* The block each instruction index starts, numbered in order, or -1 for
+   an index inside a block; [insns] is not empty. *)
 let leaders (insns : insn array) =
   let n = Array.length insns in
-  let set = Hashtbl.create 16 in
-  Hashtbl.replace set 0 ();
+  let block = Array.make n (-1) in
+  let mark i = if i < n then block.(i) <- 0 in
+  mark 0;
   Array.iteri
     (fun i insn ->
-      List.iter (fun t -> Hashtbl.replace set t ()) (targets insn);
-      if is_block_end insn && i + 1 < n then Hashtbl.replace set (i + 1) ())
+      List.iter mark (targets insn);
+      if is_block_end insn then mark (i + 1))
     insns;
-  Hashtbl.fold (fun k () acc -> k :: acc) set []
-  |> List.filter (fun k -> k < n)
-  |> List.sort compare
+  let next = ref 0 in
+  Array.iteri
+    (fun i b ->
+      if b = 0 then begin
+        block.(i) <- !next;
+        incr next
+      end)
+    block;
+  block
 
 let of_method (m : meth) : t =
   let n = Array.length m.insns in
@@ -129,22 +125,22 @@ let of_method (m : meth) : t =
   in
   if m.is_native || n = 0 then g
   else begin
-    let ls = leaders m.insns in
-    let block_of_index = Hashtbl.create 16 in
-    List.iteri (fun bi leader -> Hashtbl.replace block_of_index leader bi) ls;
+    let block_of_index = leaders m.insns in
     let block_id_of_index idx =
-      match Hashtbl.find_opt block_of_index idx with
-      | Some b -> b
-      | None -> invalid_arg "Hgraph.of_method: branch into block middle"
+      if idx >= 0 && idx < n && block_of_index.(idx) >= 0 then
+        block_of_index.(idx)
+      else invalid_arg "Hgraph.of_method: branch into block middle"
     in
     let bounds =
       (* (start, end exclusive) of each block *)
-      let rec go = function
-        | [] -> []
-        | [ l ] -> [ (l, n) ]
-        | l :: (l' :: _ as rest) -> (l, l') :: go rest
-      in
-      go ls
+      let bounds = ref [] and stop = ref n in
+      for i = n - 1 downto 0 do
+        if block_of_index.(i) >= 0 then begin
+          bounds := (i, !stop) :: !bounds;
+          stop := i
+        end
+      done;
+      !bounds
     in
     let blocks =
       List.mapi
@@ -224,23 +220,19 @@ let verify (g : t) =
     (fun i b ->
       if b.bid <> i then
         raise (Invalid (Printf.sprintf "block %d has bid %d" i b.bid));
-      List.iter
+      iter_successors
         (fun s ->
           if s < 0 || s >= nb then
             raise
               (Invalid
                  (Printf.sprintf "block %d: successor %d out of range" i s)))
-        (successors b.term);
+        b.term;
       let check_reg r =
         if r < 0 || r >= g.g_num_vregs then
           raise (Invalid (Printf.sprintf "block %d: vreg v%d out of range" i r))
       in
-      List.iter
-        (fun insn ->
-          List.iter check_reg (insn_uses insn);
-          Option.iter check_reg (insn_def insn))
-        b.insns;
-      List.iter check_reg (term_uses b.term))
+      List.iter (fun insn -> iter_regs check_reg insn) b.insns;
+      iter_term_uses check_reg b.term)
     g.blocks
 
 (* Blocks reachable from the entry. *)
@@ -250,7 +242,7 @@ let reachable (g : t) =
   let rec go b =
     if not seen.(b) then begin
       seen.(b) <- true;
-      List.iter go (successors g.blocks.(b).term)
+      iter_successors go g.blocks.(b).term
     end
   in
   if nb > 0 then go 0;
@@ -259,16 +251,6 @@ let reachable (g : t) =
 (* Total instruction count (excluding terminators). *)
 let size (g : t) =
   Array.fold_left (fun acc b -> acc + List.length b.insns) 0 g.blocks
-
-(* Predecessor lists. *)
-let predecessors (g : t) =
-  let nb = Array.length g.blocks in
-  let preds = Array.make nb [] in
-  Array.iter
-    (fun b ->
-      List.iter (fun s -> preds.(s) <- b.bid :: preds.(s)) (successors b.term))
-    g.blocks;
-  preds
 
 (* ---- Pretty printing (debugging aid) ---------------------------------- *)
 

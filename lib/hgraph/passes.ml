@@ -6,7 +6,11 @@
    All passes are semantics-preserving; the end-to-end differential tests
    in the VM compare program behaviour with passes on and off. Arithmetic
    here must agree with {!Calibro_vm}: both use native OCaml [int]
-   semantics (the simulator models a 63-bit machine; see DESIGN.md). *)
+   semantics (the simulator models a 63-bit machine; see DESIGN.md).
+
+   The passes keep their facts in flat per-register arrays ({!scratch})
+   rather than hash tables and sets, and a pass that changes nothing in a
+   block leaves that block's instruction list physically unchanged. *)
 
 open Calibro_dex.Dex_ir
 open Hgraph
@@ -34,260 +38,566 @@ let eval_cmp c a b =
   | Eq -> a = b | Ne -> a <> b | Lt -> a < b
   | Le -> a <= b | Gt -> a > b | Ge -> a >= b
 
-(* ---- Constant folding (local) ---------------------------------------- *)
+(* ---- Scratch state ---------------------------------------------------- *)
 
-let const_fold (g : t) =
-  let changed = ref false in
+(* The state the passes work in, sized once per [optimize] call. Register
+   [r] owns slot [r - lo] of each per-register array, for every register
+   the graph names: a register outside [0, g_num_vregs) gets a slot too,
+   so such a graph still reaches [verify]'s [Pass_error] instead of an
+   array bound. A fact belongs to the current block when its stamp equals
+   [gen], so starting a block is an increment, not a clear. Each
+   [optimize] call owns its scratch: methods compile concurrently on
+   [Parallel.map]'s domains. *)
+type scratch = {
+  lo : int;
+  mutable gen : int;
+  mutable changed : bool;  (* the running pass's answer *)
+  (* const_fold: [r] holds the constant [value] iff [stamp] = [gen].
+     copy_prop: [r] is a copy of register [value] iff [stamp] = [gen], and
+     is listed in [dests] iff [stamp] is [gen] or [-gen]. *)
+  stamp : int array;
+  value : int array;
+  (* [r]'s count iff [cstamp] = [gen]. copy_prop: the live copies of [r];
+     cse: the roles [r] has in the expression table. A kill scans only
+     when its register's count is not 0. *)
+  count : int array;
+  cstamp : int array;
+  dests : int array;
+  mutable ndests : int;
+  (* cse: the block's expressions [op (lhs, rhs)], available in [dst]; the
+     low bit of [key] marks a literal [rhs] *)
+  key : int array;
+  lhs : int array;
+  rhs : int array;
+  dst : int array;
+  mutable nexprs : int;
+  (* dce: register bitsets of [words] 63-bit words, one per block. Only a
+     [targeted] block, one that some block branches to, has a live-in set
+     that anything reads. *)
+  words : int;
+  targeted : bool array;
+  live_in : int array;
+  gen_set : int array;
+  kill_set : int array;
+  live : int array;
+}
+
+(* The most register slots, and bitset words over all blocks, a scratch
+   is built with. A graph past either, far past any frame codegen can
+   address, is refused with [Pass_error] rather than allocated for. *)
+let max_slots = 1 lsl 16
+let max_set_words = 1 lsl 22
+
+let scratch (g : t) =
+  let lo = ref 0 and hi = ref 0 in
+  let note r =
+    if r < !lo then lo := r;
+    if r >= !hi then hi := r + 1
+  in
   Array.iter
     (fun b ->
-      let consts : (vreg, int) Hashtbl.t = Hashtbl.create 8 in
-      let kill d = Hashtbl.remove consts d in
-      let known r = Hashtbl.find_opt consts r in
-      let rewrite insn =
-        let fold d v =
-          changed := true;
-          Hashtbl.replace consts d v;
-          Some (HConst (d, v))
-        in
-        match insn with
-        | HConst (d, v) -> Hashtbl.replace consts d v; Some insn
-        | HMove (d, a) -> (
-          match known a with
-          | Some v -> fold d v
-          | None -> kill d; Some insn)
-        | HBinop (op, d, a, bb) -> (
-          match (known a, known bb) with
-          | Some va, Some vb when not ((op = Div || op = Rem) && vb = 0) ->
-            fold d (eval_binop op va vb)
-          | _, Some vb when op <> Div && op <> Rem ->
-            kill d;
-            changed := true;
-            Some (HBinop_lit (op, d, a, vb))
-          | _ -> kill d; Some insn)
-        | HBinop_lit (op, d, a, v) -> (
-          match known a with
-          | Some va when not ((op = Div || op = Rem) && v = 0) ->
-            fold d (eval_binop op va v)
-          | _ -> kill d; Some insn)
-        | HDiv_zero_check r -> (
-          match known r with
-          | Some v when v <> 0 ->
-            changed := true;
-            None (* provably non-zero: drop the check *)
-          | _ -> Some insn)
-        | other ->
-          Option.iter kill (insn_def other);
-          Some other
-      in
-      b.insns <- List.filter_map rewrite b.insns;
-      (* Fold the terminator when its operands are known. *)
-      let goto t = changed := true; TGoto t in
-      b.term <-
-        (match b.term with
-         | TIf (c, x, y, t, f) as term -> (
-           match (known x, known y) with
-           | Some vx, Some vy -> goto (if eval_cmp c vx vy then t else f)
-           | _ -> term)
-         | TIfz (c, x, t, f) as term -> (
-           match known x with
-           | Some vx -> goto (if eval_cmp c vx 0 then t else f)
-           | None -> term)
-         | TSwitch (v, cases, default) as term -> (
-           match known v with
-           | Some vv ->
-             goto
-               (if vv >= 0 && vv < List.length cases then List.nth cases vv
-                else default)
-           | None -> term)
-         | term -> term))
+      List.iter (iter_regs note) b.insns;
+      iter_term_uses note b.term)
     g.blocks;
-  !changed
+  let n = !hi - !lo and nb = Array.length g.blocks in
+  let words = (n + 62) / 63 in
+  if n < 0 || n > max_slots || nb * words > max_set_words then
+    raise
+      (Pass_error
+         (Printf.sprintf "%s names registers v%d..v%d in %d blocks: too many"
+            (method_ref_to_string g.g_name) !lo (!hi - 1) nb));
+  let regs () = Array.make n 0 and sets () = Array.make (nb * words) 0 in
+  { lo = !lo; gen = 0; changed = false; stamp = regs (); value = regs ();
+    count = regs (); cstamp = regs (); dests = regs (); ndests = 0;
+    key = regs (); lhs = regs (); rhs = regs (); dst = regs (); nexprs = 0;
+    words; targeted = Array.make nb false; live_in = sets ();
+    gen_set = sets (); kill_set = sets (); live = Array.make words 0 }
+
+let[@inline] slot s r = r - s.lo
+let[@inline] holds s r = s.stamp.(slot s r) = s.gen
+let[@inline] value_of s r = s.value.(slot s r)
+
+let[@inline] count s r =
+  let i = slot s r in
+  if s.cstamp.(i) = s.gen then s.count.(i) else 0
+
+let[@inline] add_count s r n =
+  let i = slot s r in
+  if s.cstamp.(i) <> s.gen then begin
+    s.cstamp.(i) <- s.gen;
+    s.count.(i) <- 0
+  end;
+  s.count.(i) <- s.count.(i) + n
+
+let start_block s =
+  s.gen <- s.gen + 1;
+  s.ndests <- 0;
+  s.nexprs <- 0
+
+(* [def_of] an instruction that writes no register. No graph with a
+   scratch names [min_int]: the scratch spans every register named, and
+   spans fewer than [max_slots]. *)
+let no_def = min_int
+
+(* The register an instruction writes, or [no_def]. *)
+let def_of = function
+  | HConst (d, _) | HMove (d, _) | HBinop (_, d, _, _)
+  | HBinop_lit (_, d, _, _) | HNew_instance (_, d) | HIget (d, _, _)
+  | HAget (d, _, _) | HArray_len (d, _) | HConst_string (d, _)
+  | HInvoke (_, _, Some d) | HInvoke_runtime (_, _, Some d) -> d
+  | HInvoke (_, _, None) | HInvoke_runtime (_, _, None) | HNull_check _
+  | HBounds_check _ | HDiv_zero_check _ | HIput _ | HAput _ -> no_def
+
+(* What a rewrite returns to delete the instruction it was given. *)
+let deleted = HNull_check no_def
+
+(* [l] rewritten by [f], which sees the elements in order: [l] itself
+   when [f] changes nothing. Every walk is a loop, the copies included
+   (tail-modulo-cons): deep recursion is several times slower. *)
+let rec rewrite_list f l = rewrite_scan f l l
+
+and rewrite_scan f l node =
+  match node with
+  | [] -> l
+  | x :: rest ->
+    let x' = f x in
+    if x' == x then rewrite_scan f l rest else rewrite_from f l node x' rest
+
+(* [l] up to [node], whose element [f] rewrote to [x'], then the rest of
+   [l] rewritten. *)
+and[@tail_mod_cons] rewrite_from f l node x' rest =
+  if l == node then
+    if x' == deleted then rewrite_rest f rest else x' :: rewrite_rest f rest
+  else
+    match l with
+    | x :: l' -> x :: rewrite_from f l' node x' rest
+    | [] -> assert false
+
+and[@tail_mod_cons] rewrite_rest f l =
+  match l with
+  | [] -> []
+  | x :: rest ->
+    let x' = f x in
+    if x' == deleted then rewrite_rest f rest else x' :: rewrite_rest f rest
+
+(* ---- Constant folding (local) ---------------------------------------- *)
+
+let traps op divisor = (op = Div || op = Rem) && divisor = 0
+
+let learn s d v =
+  let i = slot s d in
+  s.stamp.(i) <- s.gen;
+  s.value.(i) <- v
+
+let forget s d = s.stamp.(slot s d) <- 0
+
+let fold s d v =
+  s.changed <- true;
+  learn s d v;
+  HConst (d, v)
+
+let fold_insn s insn =
+  match insn with
+  | HDiv_zero_check r when holds s r && value_of s r <> 0 ->
+    s.changed <- true;
+    deleted (* provably non-zero: drop the check *)
+  | HConst (d, v) -> learn s d v; insn
+  | HMove (d, a) ->
+    if holds s a then fold s d (value_of s a) else (forget s d; insn)
+  | HBinop (op, d, a, b) when holds s b ->
+    let vb = value_of s b in
+    if holds s a && not (traps op vb) then
+      fold s d (eval_binop op (value_of s a) vb)
+    else if op <> Div && op <> Rem then begin
+      forget s d;
+      s.changed <- true;
+      HBinop_lit (op, d, a, vb)
+    end
+    else (forget s d; insn)
+  | HBinop_lit (op, d, a, v) when holds s a && not (traps op v) ->
+    fold s d (eval_binop op (value_of s a) v)
+  | insn ->
+    let d = def_of insn in
+    if d <> no_def then forget s d;
+    insn
+
+(* The terminator, folded when its operands are known. *)
+let fold_term s term =
+  let goto t =
+    s.changed <- true;
+    TGoto t
+  in
+  match term with
+  | TIf (c, x, y, t, f) when holds s x && holds s y ->
+    goto (if eval_cmp c (value_of s x) (value_of s y) then t else f)
+  | TIfz (c, x, t, f) when holds s x ->
+    goto (if eval_cmp c (value_of s x) 0 then t else f)
+  | TSwitch (v, cases, default) when holds s v ->
+    let vv = value_of s v in
+    goto
+      (if vv >= 0 && vv < List.length cases then List.nth cases vv else default)
+  | term -> term
+
+let const_fold_with s (g : t) =
+  s.changed <- false;
+  Array.iter
+    (fun b ->
+      start_block s;
+      let insns = rewrite_list (fold_insn s) b.insns in
+      if insns != b.insns then b.insns <- insns;
+      let term = fold_term s b.term in
+      if term != b.term then b.term <- term)
+    g.blocks;
+  s.changed
 
 (* ---- Copy propagation (local) ----------------------------------------- *)
 
-let copy_prop (g : t) =
-  let changed = ref false in
+let resolve s r =
+  if holds s r then begin
+    s.changed <- true;
+    value_of s r
+  end
+  else r
+
+let rec resolve_args s args =
+  match args with
+  | [] -> args
+  | r :: rest ->
+    let r' = resolve s r in
+    let rest' = resolve_args s rest in
+    if r' = r && rest' == rest then args else r' :: rest'
+
+(* [d] is redefined: drop its copy, and any copy whose source was [d]. *)
+let kill_copies s d =
+  let i = slot s d in
+  if s.stamp.(i) = s.gen then begin
+    add_count s s.value.(i) (-1);
+    s.stamp.(i) <- -s.gen
+  end;
+  if count s d > 0 then begin
+    (* compact [dests] to the copies still live *)
+    let kept = ref 0 in
+    for k = 0 to s.ndests - 1 do
+      let e = s.dests.(k) in
+      let j = slot s e in
+      if s.stamp.(j) = s.gen && s.value.(j) <> d then begin
+        s.dests.(!kept) <- e;
+        incr kept
+      end
+      else s.stamp.(j) <- 0
+    done;
+    s.ndests <- !kept;
+    s.count.(i) <- 0
+  end
+
+let record_copy s d a =
+  let i = slot s d in
+  if s.stamp.(i) <> -s.gen then begin
+    s.dests.(s.ndests) <- d;
+    s.ndests <- s.ndests + 1
+  end;
+  s.stamp.(i) <- s.gen;
+  s.value.(i) <- a;
+  add_count s a 1
+
+(* Substitute the uses, then kill the definition (recording a copy). *)
+let propagate s insn =
+  match insn with
+  | HConst (d, _) | HConst_string (d, _) | HNew_instance (_, d) ->
+    kill_copies s d;
+    insn
+  | HMove (d, a) ->
+    let a' = resolve s a in
+    kill_copies s d;
+    if d <> a' then record_copy s d a';
+    if a' = a then insn else HMove (d, a')
+  | HBinop (op, d, a, b) ->
+    let a' = resolve s a in
+    let b' = resolve s b in
+    kill_copies s d;
+    if a' = a && b' = b then insn else HBinop (op, d, a', b')
+  | HBinop_lit (op, d, a, v) ->
+    let a' = resolve s a in
+    kill_copies s d;
+    if a' = a then insn else HBinop_lit (op, d, a', v)
+  | HInvoke (m, args, res) ->
+    let args' = resolve_args s args in
+    Option.iter (kill_copies s) res;
+    if args' == args then insn else HInvoke (m, args', res)
+  | HInvoke_runtime (f, args, res) ->
+    let args' = resolve_args s args in
+    Option.iter (kill_copies s) res;
+    if args' == args then insn else HInvoke_runtime (f, args', res)
+  | HNull_check a ->
+    let a' = resolve s a in
+    if a' = a then insn else HNull_check a'
+  | HBounds_check (i, a) ->
+    let i' = resolve s i in
+    let a' = resolve s a in
+    if i' = i && a' = a then insn else HBounds_check (i', a')
+  | HDiv_zero_check a ->
+    let a' = resolve s a in
+    if a' = a then insn else HDiv_zero_check a'
+  | HIget (d, o, off) ->
+    let o' = resolve s o in
+    kill_copies s d;
+    if o' = o then insn else HIget (d, o', off)
+  | HIput (v, o, off) ->
+    let v' = resolve s v in
+    let o' = resolve s o in
+    if v' = v && o' = o then insn else HIput (v', o', off)
+  | HAget (d, a, i) ->
+    let a' = resolve s a in
+    let i' = resolve s i in
+    kill_copies s d;
+    if a' = a && i' = i then insn else HAget (d, a', i')
+  | HAput (v, a, i) ->
+    let v' = resolve s v in
+    let a' = resolve s a in
+    let i' = resolve s i in
+    if v' = v && a' = a && i' = i then insn else HAput (v', a', i')
+  | HArray_len (d, a) ->
+    let a' = resolve s a in
+    kill_copies s d;
+    if a' = a then insn else HArray_len (d, a')
+
+let propagate_term s term =
+  match term with
+  | TIf (c, x, y, t, f) ->
+    let x' = resolve s x in
+    let y' = resolve s y in
+    if x' = x && y' = y then term else TIf (c, x', y', t, f)
+  | TIfz (c, x, t, f) ->
+    let x' = resolve s x in
+    if x' = x then term else TIfz (c, x', t, f)
+  | TSwitch (v, cases, d) ->
+    let v' = resolve s v in
+    if v' = v then term else TSwitch (v', cases, d)
+  | TReturn (Some r) ->
+    let r' = resolve s r in
+    if r' = r then term else TReturn (Some r')
+  | TGoto _ | TReturn None -> term
+
+let copy_prop_with s (g : t) =
+  s.changed <- false;
   Array.iter
     (fun b ->
-      let copies : (vreg, vreg) Hashtbl.t = Hashtbl.create 8 in
-      let resolve r =
-        match Hashtbl.find_opt copies r with
-        | Some src -> changed := true; src
-        | None -> r
-      in
-      let kill d =
-        Hashtbl.remove copies d;
-        (* any copy whose source was d is no longer valid *)
-        let stale =
-          Hashtbl.fold (fun k v acc -> if v = d then k :: acc else acc) copies []
-        in
-        List.iter (Hashtbl.remove copies) stale
-      in
-      let subst insn =
-        let s = resolve in
-        match insn with
-        | HConst _ | HConst_string _ | HNew_instance _ -> insn
-        | HMove (d, a) -> HMove (d, s a)
-        | HBinop (op, d, a, bb) -> HBinop (op, d, s a, s bb)
-        | HBinop_lit (op, d, a, v) -> HBinop_lit (op, d, s a, v)
-        | HInvoke (m, args, res) -> HInvoke (m, List.map s args, res)
-        | HInvoke_runtime (f, args, res) ->
-          HInvoke_runtime (f, List.map s args, res)
-        | HNull_check a -> HNull_check (s a)
-        | HBounds_check (i, a) -> HBounds_check (s i, s a)
-        | HDiv_zero_check a -> HDiv_zero_check (s a)
-        | HIget (d, o, off) -> HIget (d, s o, off)
-        | HIput (v, o, off) -> HIput (s v, s o, off)
-        | HAget (d, a, i) -> HAget (d, s a, s i)
-        | HAput (v, a, i) -> HAput (s v, s a, s i)
-        | HArray_len (d, a) -> HArray_len (d, s a)
-      in
-      b.insns <-
-        List.map
-          (fun insn ->
-            let insn = subst insn in
-            (match insn with
-             | HMove (d, a) when d <> a ->
-               kill d;
-               Hashtbl.replace copies d a
-             | _ -> Option.iter kill (insn_def insn));
-            insn)
-          b.insns;
-      b.term <-
-        (match b.term with
-         | TIf (c, x, y, t, f) -> TIf (c, resolve x, resolve y, t, f)
-         | TIfz (c, x, t, f) -> TIfz (c, resolve x, t, f)
-         | TSwitch (v, cases, d) -> TSwitch (resolve v, cases, d)
-         | TReturn (Some r) -> TReturn (Some (resolve r))
-         | term -> term))
+      start_block s;
+      let insns = rewrite_list (propagate s) b.insns in
+      if insns != b.insns then b.insns <- insns;
+      let term = propagate_term s b.term in
+      if term != b.term then b.term <- term)
     g.blocks;
-  !changed
+  s.changed
 
 (* ---- Local common subexpression elimination ---------------------------- *)
 
-type expr_key = E_binop of binop * vreg * vreg | E_binop_lit of binop * vreg * int
+let op_code = function
+  | Add -> 0 | Sub -> 1 | Mul -> 2 | Div -> 3
+  | Rem -> 4 | And -> 5 | Or -> 6 | Xor -> 7
 
-let cse (g : t) =
-  let changed = ref false in
+(* Count the roles of entry [k]'s registers by [n]. *)
+let count_entry s k n =
+  add_count s s.lhs.(k) n;
+  if s.key.(k) land 1 = 0 then add_count s s.rhs.(k) n;
+  add_count s s.dst.(k) n
+
+(* Drop the expressions that read or produced [d]: each is replaced by
+   the last entry, until no entry names [d]. *)
+let kill_exprs s d =
+  let k = ref 0 in
+  while count s d > 0 do
+    let i = !k in
+    if s.lhs.(i) = d || (s.key.(i) land 1 = 0 && s.rhs.(i) = d) || s.dst.(i) = d
+    then begin
+      count_entry s i (-1);
+      let last = s.nexprs - 1 in
+      s.key.(i) <- s.key.(last);
+      s.lhs.(i) <- s.lhs.(last);
+      s.rhs.(i) <- s.rhs.(last);
+      s.dst.(i) <- s.dst.(last);
+      s.nexprs <- last
+    end
+    else incr k
+  done
+
+(* [insn], which computes [key (a, b)] into [d], or a move from the
+   register that already holds that value. *)
+let number s insn key d a b =
+  (* no entry can match unless [a] has a role in the table *)
+  let k = ref (if count s a = 0 then s.nexprs else 0) in
+  while
+    !k < s.nexprs && not (s.key.(!k) = key && s.lhs.(!k) = a && s.rhs.(!k) = b)
+  do
+    incr k
+  done;
+  if !k < s.nexprs && s.dst.(!k) <> d then begin
+    let prev = s.dst.(!k) in
+    s.changed <- true;
+    kill_exprs s d;
+    HMove (d, prev)
+  end
+  else begin
+    kill_exprs s d;
+    (* Known defect, reproduced because the committed bytes depend on it:
+       the expression is recorded even when it reads [d] itself, so after
+       [add v0, v0, v1] a later [add v2, v0, v1] becomes [v2 <- v0]. The
+       fix (no insert when [a] or [b] is [d]) moves the digests, so it
+       waits for the re-pin in ROADMAP.md's well-defined-inputs item. *)
+    let n = s.nexprs in
+    s.key.(n) <- key;
+    s.lhs.(n) <- a;
+    s.rhs.(n) <- b;
+    s.dst.(n) <- d;
+    s.nexprs <- n + 1;
+    count_entry s n 1;
+    insn
+  end
+
+let cse_insn s insn =
+  match insn with
+  | HBinop (op, d, a, b) when op <> Div && op <> Rem ->
+    number s insn (op_code op * 2) d a b
+  | HBinop_lit (op, d, a, v) when op <> Div && op <> Rem ->
+    number s insn ((op_code op * 2) + 1) d a v
+  | insn ->
+    let d = def_of insn in
+    if d <> no_def then kill_exprs s d;
+    insn
+
+let cse_with s (g : t) =
+  s.changed <- false;
   Array.iter
     (fun b ->
-      let exprs : (expr_key, vreg) Hashtbl.t = Hashtbl.create 8 in
-      let kill d =
-        (* drop expressions that read or produced d *)
-        let stale =
-          Hashtbl.fold
-            (fun k v acc ->
-              let reads =
-                match k with
-                | E_binop (_, a, bb) -> a = d || bb = d
-                | E_binop_lit (_, a, _) -> a = d
-              in
-              if reads || v = d then k :: acc else acc)
-            exprs []
-        in
-        List.iter (Hashtbl.remove exprs) stale
-      in
-      b.insns <-
-        List.map
-          (fun insn ->
-            match insn with
-            | HBinop (op, d, a, bb) when insn_is_pure insn -> (
-              match Hashtbl.find_opt exprs (E_binop (op, a, bb)) with
-              | Some prev when prev <> d ->
-                changed := true;
-                kill d;
-                HMove (d, prev)
-              | _ ->
-                kill d;
-                Hashtbl.replace exprs (E_binop (op, a, bb)) d;
-                insn)
-            | HBinop_lit (op, d, a, v) when insn_is_pure insn -> (
-              match Hashtbl.find_opt exprs (E_binop_lit (op, a, v)) with
-              | Some prev when prev <> d ->
-                changed := true;
-                kill d;
-                HMove (d, prev)
-              | _ ->
-                kill d;
-                Hashtbl.replace exprs (E_binop_lit (op, a, v)) d;
-                insn)
-            | insn ->
-              Option.iter kill (insn_def insn);
-              insn)
-          b.insns)
+      start_block s;
+      let insns = rewrite_list (cse_insn s) b.insns in
+      if insns != b.insns then b.insns <- insns)
     g.blocks;
-  !changed
+  s.changed
 
 (* ---- Dead code elimination (global liveness) --------------------------- *)
 
-module VSet = Set.Make (Int)
+(* Register bitsets: slot [i] is bit [i mod 63] of word [base + i / 63]. *)
+let[@inline] set_bit a base i =
+  let k = base + (i / 63) in
+  a.(k) <- a.(k) lor (1 lsl (i mod 63))
 
-let dce (g : t) =
-  let nb = Array.length g.blocks in
-  if nb = 0 then false
-  else begin
-    let live_in = Array.make nb VSet.empty in
-    let block_live_out b =
-      List.fold_left
-        (fun acc s -> VSet.union acc live_in.(s))
-        VSet.empty
-        (successors g.blocks.(b).term)
-    in
-    (* Fixpoint over live_in. *)
-    let changed_flow = ref true in
-    while !changed_flow do
-      changed_flow := false;
-      for b = nb - 1 downto 0 do
-        let blk = g.blocks.(b) in
-        let live = ref (block_live_out b) in
-        live := VSet.union !live (VSet.of_list (term_uses blk.term));
-        List.iter
-          (fun insn ->
-            (match insn_def insn with
-             | Some d -> live := VSet.remove d !live
-             | None -> ());
-            live := VSet.union !live (VSet.of_list (insn_uses insn)))
-          (List.rev blk.insns);
-        if not (VSet.equal !live live_in.(b)) then begin
-          live_in.(b) <- !live;
-          changed_flow := true
-        end
-      done
-    done;
-    (* Sweep: drop pure instructions whose definition is dead. *)
-    let changed = ref false in
-    Array.iteri
-      (fun bidx blk ->
-        let live = ref (block_live_out bidx) in
-        live := VSet.union !live (VSet.of_list (term_uses blk.term));
-        let kept =
-          List.fold_left
-            (fun kept insn ->
-              let dead =
-                insn_is_pure insn
-                &&
-                match insn_def insn with
-                | Some d -> not (VSet.mem d !live)
-                | None -> true
-              in
-              if dead then begin
-                changed := true;
-                kept
-              end
-              else begin
-                (match insn_def insn with
-                 | Some d -> live := VSet.remove d !live
-                 | None -> ());
-                live := VSet.union !live (VSet.of_list (insn_uses insn));
-                insn :: kept
-              end)
-            []
-            (List.rev blk.insns)
-        in
-        blk.insns <- kept)
-      g.blocks;
-    !changed
-  end
+let[@inline] clear_bit a base i =
+  let k = base + (i / 63) in
+  a.(k) <- a.(k) land lnot (1 lsl (i mod 63))
+
+let[@inline] has_bit a base i = a.(base + (i / 63)) land (1 lsl (i mod 63)) <> 0
+
+let rec add_arg_uses s a base = function
+  | [] -> ()
+  | r :: rest ->
+    set_bit a base (slot s r);
+    add_arg_uses s a base rest
+
+(* Add the registers [insn] reads to the bitset at [base] of [a]. *)
+let add_uses s a base insn =
+  match insn with
+  | HConst _ | HConst_string _ | HNew_instance _ -> ()
+  | HMove (_, x) | HBinop_lit (_, _, x, _) | HNull_check x
+  | HDiv_zero_check x | HIget (_, x, _) | HArray_len (_, x) ->
+    set_bit a base (slot s x)
+  | HBinop (_, _, x, y) | HBounds_check (x, y) | HIput (x, y, _)
+  | HAget (_, x, y) ->
+    set_bit a base (slot s x);
+    set_bit a base (slot s y)
+  | HAput (x, y, z) ->
+    set_bit a base (slot s x);
+    set_bit a base (slot s y);
+    set_bit a base (slot s z)
+  | HInvoke (_, args, _) | HInvoke_runtime (_, args, _) ->
+    add_arg_uses s a base args
+
+(* A block's upward-exposed uses (gen) and definitions (kill), walking its
+   instructions backwards. *)
+let rec gen_kill s base = function
+  | [] -> ()
+  | insn :: rest ->
+    gen_kill s base rest;
+    let d = def_of insn in
+    if d <> no_def then begin
+      clear_bit s.gen_set base (slot s d);
+      set_bit s.kill_set base (slot s d)
+    end;
+    add_uses s s.gen_set base insn
+
+let add_live_in s succ =
+  for k = 0 to s.words - 1 do
+    s.live.(k) <- s.live.(k) lor s.live_in.((succ * s.words) + k)
+  done
+
+(* s.live := the union of the live-in sets of [term]'s successors *)
+let live_out s term =
+  Array.fill s.live 0 s.words 0;
+  iter_successors (add_live_in s) term
+
+(* [l] without the pure instructions whose definition is dead, walking
+   backwards from the live set s.live (which the walk updates). *)
+let rec sweep s l =
+  match l with
+  | [] -> l
+  | insn :: rest ->
+    let rest' = sweep s rest in
+    let d = def_of insn in
+    if (d = no_def || not (has_bit s.live 0 (slot s d))) && insn_is_pure insn
+    then begin
+      s.changed <- true;
+      rest'
+    end
+    else begin
+      if d <> no_def then clear_bit s.live 0 (slot s d);
+      add_uses s s.live 0 insn;
+      if rest' == rest then l else insn :: rest'
+    end
+
+let dce_with s (g : t) =
+  s.changed <- false;
+  let nb = Array.length g.blocks and w = s.words in
+  Array.fill s.targeted 0 nb false;
+  Array.iter
+    (fun b -> iter_successors (fun t -> s.targeted.(t) <- true) b.term)
+    g.blocks;
+  for b = 0 to nb - 1 do
+    if s.targeted.(b) then begin
+      Array.fill s.gen_set (b * w) w 0;
+      Array.fill s.kill_set (b * w) w 0;
+      Array.fill s.live_in (b * w) w 0;
+      iter_term_uses (fun r -> set_bit s.gen_set (b * w) (slot s r))
+        g.blocks.(b).term;
+      gen_kill s (b * w) g.blocks.(b).insns
+    end
+  done;
+  (* Fixpoint over live_in = gen | (live_out & ~kill). *)
+  let flowing = ref true in
+  while !flowing do
+    flowing := false;
+    for b = nb - 1 downto 0 do
+      if s.targeted.(b) then begin
+        live_out s g.blocks.(b).term;
+        for k = 0 to w - 1 do
+          let i = (b * w) + k in
+          let v = s.gen_set.(i) lor (s.live.(k) land lnot s.kill_set.(i)) in
+          if v <> s.live_in.(i) then begin
+            s.live_in.(i) <- v;
+            flowing := true
+          end
+        done
+      end
+    done
+  done;
+  (* Sweep each block backwards from its live-out set. *)
+  Array.iter
+    (fun b ->
+      live_out s b.term;
+      iter_term_uses (fun r -> set_bit s.live 0 (slot s r)) b.term;
+      let insns = sweep s b.insns in
+      if insns != b.insns then b.insns <- insns)
+    g.blocks;
+  s.changed
 
 (* ---- Branch simplification and unreachable-code removal ---------------- *)
 
@@ -357,20 +667,28 @@ let simplify_branches (g : t) =
 
 (* ---- Pass manager ------------------------------------------------------ *)
 
-type pass = { pass_name : string; run : t -> bool }
+type pass = { pass_name : string; run : scratch -> t -> bool }
 
 let all_passes =
-  [ { pass_name = "const_fold"; run = const_fold };
-    { pass_name = "copy_prop"; run = copy_prop };
-    { pass_name = "cse"; run = cse };
-    { pass_name = "dce"; run = dce };
-    { pass_name = "simplify_branches"; run = simplify_branches } ]
+  [ { pass_name = "const_fold"; run = const_fold_with };
+    { pass_name = "copy_prop"; run = copy_prop_with };
+    { pass_name = "cse"; run = cse_with };
+    { pass_name = "dce"; run = dce_with };
+    { pass_name = "simplify_branches"; run = (fun _ g -> simplify_branches g) } ]
+
+(* One pass on its own, with scratch state sized for [g]. *)
+let const_fold g = const_fold_with (scratch g) g
+let copy_prop g = copy_prop_with (scratch g) g
+let cse g = cse_with (scratch g) g
+let dce g = dce_with (scratch g) g
 
 (* Run the pass pipeline to a fixpoint (bounded), verifying after each
-   pass. Returns the number of iterations taken. *)
+   pass. Returns the number of iterations taken. The scratch state is
+   sized once: no pass adds a register or a block. *)
 let optimize ?(max_rounds = 8) (g : t) =
   if g.g_is_native then 0
   else begin
+    let s = scratch g in
     let rounds = ref 0 in
     let continue_ = ref true in
     while !continue_ && !rounds < max_rounds do
@@ -378,7 +696,7 @@ let optimize ?(max_rounds = 8) (g : t) =
       let changed =
         List.fold_left
           (fun acc pass ->
-            let c = pass.run g in
+            let c = pass.run s g in
             (try verify g
              with Invalid msg ->
                raise
