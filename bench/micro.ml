@@ -29,7 +29,9 @@ let test_repeats =
   let tree = lazy (Suffix_tree.build (Lazy.force demo_seq)) in
   Test.make ~name:"fig3/repeat_enumeration"
     (Staged.stage (fun () ->
-         ignore (Suffix_tree.repeats ~min_length:2 ~max_length:64 (Lazy.force tree))))
+         ignore
+           (Suffix_tree.fold_repeats ~min_length:2 ~max_length:64
+              (Lazy.force tree) ~init:[] ~f:(fun acc r -> r :: acc))))
 
 (* Table 2: PC-relative patching of a single word. *)
 let test_patch =

@@ -135,7 +135,7 @@ let detect_uncached ~options (methods : Compiled_method.t array)
           ~f:(fun acc (r : Suffix_tree.repeat) ->
             incr considered;
             let length = r.Suffix_tree.length in
-            let repeats = List.length r.Suffix_tree.positions in
+            let repeats = Array.length r.Suffix_tree.positions in
             if Benefit.worthwhile ~length ~repeats then
               (Benefit.saving ~length ~repeats, r) :: acc
             else acc))
@@ -150,62 +150,37 @@ let detect_uncached ~options (methods : Compiled_method.t array)
         | c -> c)
       candidates
   in
-  (* Greedy selection with a global claimed-interval set (per method). *)
-  let claimed : (int, Interval_set.t) Hashtbl.t = Hashtbl.create 16 in
-  let overlaps mi off len =
-    match Hashtbl.find_opt claimed mi with
-    | None -> false
-    | Some s -> Interval_set.overlaps s off (off + len)
-  in
-  let claim mi off len =
-    let s =
-      match Hashtbl.find_opt claimed mi with
-      | Some s -> s
-      | None ->
-        let s = Interval_set.create () in
-        Hashtbl.replace claimed mi s;
-        s
-    in
-    Interval_set.add s off (off + len)
-  in
+  (* Greedy selection. [Seq_map.iter_method] gives each word one
+     sequence position, in code order, and no repeat spans a separator,
+     so two occurrences overlap in bytes exactly when they overlap in
+     positions: one claim byte per position covers the whole group. *)
+  let claimed = Bytes.make !n_elements '\000' in
+  let text = Suffix_tree.text tree in
   let decisions = ref [] in
   let saved = ref 0 and occ_total = ref 0 in
   Obs.span ~cat:"ltbo" "ltbo.select" (fun () ->
   List.iter
     (fun ((_, r) : int * Suffix_tree.repeat) ->
       let len = r.Suffix_tree.length in
-      let byte_len = len * 4 in
-      (* Self-overlap filter first (sequence positions), then the global
-         claimed filter (byte ranges). *)
-      let positions =
-        Suffix_tree.non_overlapping ~length:len r.Suffix_tree.positions
-      in
       let usable =
-        List.filter_map
-          (fun pos ->
-            let off = p_off.(pos) and mi = p_method.(pos) in
-            (* a separator slot cannot start a repeat; guard anyway *)
-            if off < 0 || overlaps mi off byte_len then None
-            else Some (mi, off))
-          positions
+        Suffix_tree.select ~claimed ~length:len r.Suffix_tree.positions
       in
-      let repeats = List.length usable in
+      let repeats = Array.length usable in
       if Benefit.worthwhile ~length:len ~repeats then begin
         Obs.Counter.incr "ltbo.decisions_accepted";
         Obs.Histogram.observe "ltbo.decision_length_insns" (float_of_int len);
         Obs.Histogram.observe "ltbo.decision_occurrences"
           (float_of_int repeats);
-        List.iter (fun (mi, off) -> claim mi off byte_len) usable;
-        let first_pos =
-          (* words of the sequence body, taken from the tree's text *)
-          match List.nth_opt positions 0 with
-          | Some p -> p
-          | None -> assert false
-        in
-        let text = Suffix_tree.text tree in
-        let words = Array.init len (fun k -> text.(first_pos + k)) in
+        Array.iter (fun p -> Bytes.fill claimed p len '\001') usable;
+        (* words of the sequence body, taken from the tree's text *)
+        let first = r.Suffix_tree.positions.(0) in
         decisions :=
-          { d_length = len; d_words = words; d_occurrences = usable }
+          { d_length = len;
+            d_words = Array.sub text first len;
+            d_occurrences =
+              Array.fold_right
+                (fun p acc -> (p_method.(p), p_off.(p)) :: acc)
+                usable [] }
           :: !decisions;
         saved := !saved + Benefit.saving ~length:len ~repeats;
         occ_total := !occ_total + repeats
@@ -215,11 +190,10 @@ let detect_uncached ~options (methods : Compiled_method.t array)
   Obs.Counter.add "ltbo.repeats_considered" !considered;
   Obs.Counter.add "ltbo.occurrences_replaced" !occ_total;
   Obs.Counter.add "ltbo.bytes_saved" (!saved * 4);
-  let st = Suffix_tree.stats tree in
   ( List.rev !decisions,
     { s_candidate_methods = List.length group;
       s_sequence_elements = !n_elements;
-      s_tree_nodes = st.Suffix_tree.nodes;
+      s_tree_nodes = Suffix_tree.node_count tree;
       s_repeats_considered = !considered;
       s_outlined_functions = List.length !decisions;
       s_occurrences_replaced = !occ_total;

@@ -54,14 +54,15 @@ let analyze ?(min_length = 2) ?(max_length = 64) (oat : Oat_file.t) : analysis
     =
   let seq = sequence_of_oat oat in
   let tree = Suffix_tree.build seq in
-  (* Each worthwhile repeat with its occurrence count and saving. *)
+  (* Each worthwhile repeat with its occurrence count and saving, last
+     emitted first. *)
   let repeats =
-    Suffix_tree.repeats ~min_length ~max_length tree
-    |> List.filter_map (fun (r : Suffix_tree.repeat) ->
-           let count = List.length r.positions in
-           if Benefit.worthwhile ~length:r.length ~repeats:count then
-             Some (Benefit.saving ~length:r.length ~repeats:count, count, r)
-           else None)
+    Suffix_tree.fold_repeats ~min_length ~max_length tree ~init:[]
+      ~f:(fun acc (r : Suffix_tree.repeat) ->
+        let count = Array.length r.positions in
+        if Benefit.worthwhile ~length:r.length ~repeats:count then
+          (Benefit.saving ~length:r.length ~repeats:count, count, r) :: acc
+        else acc)
   in
   (* Figure 3 histogram over all worthwhile repeats. *)
   let hist = Hashtbl.create 64 in
@@ -77,18 +78,15 @@ let analyze ?(min_length = 2) ?(max_length = 64) (oat : Oat_file.t) : analysis
   let ordered =
     List.stable_sort (fun (sa, _, _) (sb, _, _) -> compare sb sa) repeats
   in
-  let claimed = Interval_set.create () in
+  let claimed = Bytes.make (Array.length seq) '\000' in
   let saved = ref 0 in
   List.iter
     (fun (_, _, (r : Suffix_tree.repeat)) ->
       let len = r.length in
-      let usable =
-        Suffix_tree.non_overlapping ~length:len r.positions
-        |> List.filter (fun p -> not (Interval_set.overlaps claimed p (p + len)))
-      in
-      let n = List.length usable in
+      let usable = Suffix_tree.select ~claimed ~length:len r.positions in
+      let n = Array.length usable in
       if Benefit.worthwhile ~length:len ~repeats:n then begin
-        List.iter (fun p -> Interval_set.add claimed p (p + len)) usable;
+        Array.iter (fun p -> Bytes.fill claimed p len '\001') usable;
         saved := !saved + Benefit.saving ~length:len ~repeats:n
       end)
     ordered;

@@ -7,6 +7,11 @@ type error = { where : string; what : string }
 
 let error_to_string { where; what } = where ^ ": " ^ what
 
+(* The prologue allocates the frame with one [sub sp, sp, #frame], whose
+   12-bit immediate holds at most 4095; [Abi.frame_size] is 4080 bytes
+   for 508 vregs and 4096 for 509. *)
+let max_vregs = 508
+
 let check_method (m : meth) =
   let errors = ref [] in
   let err fmt =
@@ -19,6 +24,9 @@ let check_method (m : meth) =
   if m.num_params > m.num_vregs then
     err "num_params %d exceeds num_vregs %d" m.num_params m.num_vregs;
   if m.num_vregs < 0 || m.num_params < 0 then err "negative register counts";
+  if m.num_vregs > max_vregs then
+    err "num_vregs %d exceeds %d (the frame would not fit the prologue)"
+      m.num_vregs max_vregs;
   if n = 0 && not m.is_native then err "non-native method with empty body";
   if m.is_native && n > 0 then err "native method with a body";
   let check_reg what r =

@@ -24,9 +24,9 @@
      post-order arrays in which every internal node's occurrence set is
      one contiguous slice of a shared suffix-index array.
 
-   Construction state (the edge table, labels, links, parents) is dropped
-   before [build] returns; [t] keeps only the CSR children and the
-   post-order arrays that {!fold_repeats} and the queries read.
+   Construction state (the edge table, labels, links, parents) and the
+   child lists are dropped before [build] returns; [t] keeps only the
+   text and the post-order arrays that {!fold_repeats} reads.
 
    Child order. Repeats come out in lowering order, and [Ltbo.detect]'s
    stable candidate sort breaks ties in that order, so the OAT bytes
@@ -54,13 +54,6 @@ let terminal = min_int
 type t = {
   text : int array;  (** input plus terminal sentinel *)
   n_nodes : int;
-  child_off : int array;
-      (** per internal node [x], its children are
-          [children.(child_off.(x - n)) .. children.(child_off.(x - n + 1) - 1)],
-          in lowering order *)
-  children : int array;
-  po_of : int array;  (** per internal node: its post-order slot; root: -1 *)
-  (* ---- Post-order lowering ----------------------------------------- *)
   suffixes : int array;
       (** suffix indices of all leaves, in DFS order: every internal
           node's descendant-leaf set is one slice of it *)
@@ -358,7 +351,6 @@ let lower b ~child_off ~children =
   let po_depth = Array.make n_po 0 in
   let po_lo = Array.make n_po 0 in
   let po_hi = Array.make n_po 0 in
-  let po_of = Array.make n_int (-1) in
   let next_leaf = ref 0 and next_po = ref 0 in
   (* The stack: a node, its next child's index into [children], its
      string depth and the start of its slice. *)
@@ -404,12 +396,11 @@ let lower b ~child_off ~children =
         po_depth.(k) <- !st_depth.(top);
         po_lo.(k) <- !st_lo.(top);
         po_hi.(k) <- !next_leaf;
-        po_of.(x - n) <- k;
         next_po := k + 1
       end
     end
   done;
-  (suffixes, po_depth, po_lo, po_hi, po_of)
+  (suffixes, po_depth, po_lo, po_hi)
 
 let build input =
   Array.iter
@@ -424,94 +415,15 @@ let build input =
   b.link <- [||];
   let child_off, children = child_lists b in
   b.parent <- [||];
-  let suffixes, po_depth, po_lo, po_hi, po_of =
-    lower b ~child_off ~children
-  in
-  { text; n_nodes = b.n + b.n_int; child_off; children; po_of; suffixes;
-    po_depth; po_lo; po_hi; n_internal = b.n_int - 1 }
-
-(* ---- Queries --------------------------------------------------------- *)
-
-(* A node's string depth (a leaf's is its suffix's length), and an internal
-   node's slice of [suffixes] (the root's is all of it). *)
-let depth_of t x =
-  let n = Array.length t.text in
-  if x < n then n - x
-  else if x = n then 0
-  else t.po_depth.(t.po_of.(x - n))
-
-let slice_of t x =
-  let n = Array.length t.text in
-  if x = n then (0, n)
-  else
-    let k = t.po_of.(x - n) in
-    (t.po_lo.(k), t.po_hi.(k))
-
-(* A suffix running through node [x]: its label is
-   [text.(s + depth parent) .. text.(s + depth x - 1)]. *)
-let suffix_through t x =
-  if x < Array.length t.text then x else t.suffixes.(fst (slice_of t x))
-
-(* Walk from the root along [pattern]; return the node at or below the
-   landing point. Each visited node's children are scanned linearly (the
-   root has one per separator): only the queries use this, not
-   detection. *)
-let walk t pattern =
-  let m = Array.length pattern and n = Array.length t.text in
-  let rec go x dx i =
-    if i >= m then Some x
-    else
-      let lo = t.child_off.(x - n) and hi = t.child_off.(x - n + 1) in
-      let rec pick ci =
-        if ci >= hi then None
-        else
-          let c = t.children.(ci) in
-          let s = suffix_through t c in
-          if t.text.(s + dx) = pattern.(i) then Some (c, s) else pick (ci + 1)
-      in
-      match pick lo with
-      | None -> None
-      | Some (c, s) ->
-        let dc = depth_of t c in
-        let rec scan d i =
-          if d >= dc || i >= m then Some i
-          else if t.text.(s + d) = pattern.(i) then scan (d + 1) (i + 1)
-          else None
-        in
-        (match scan dx i with
-         | None -> None
-         | Some i' -> if i' >= m then Some c else go c dc i')
-  in
-  go n 0 0
-
-let contains t pattern = walk t pattern <> None
-
-(* All start positions at which [pattern] occurs in the input: the landing
-   node's slice of the suffix-index array, sorted ascending. *)
-let occurrences t pattern =
-  match walk t pattern with
-  | None -> []
-  | Some x when x < Array.length t.text -> [ x ]
-  | Some x ->
-    let lo, hi = slice_of t x in
-    let out = Array.sub t.suffixes lo (hi - lo) in
-    Array.sort compare_int out;
-    Array.to_list out
-
-(* Counting needs no sort: the slice width is the occurrence count. *)
-let count_occurrences t pattern =
-  match walk t pattern with
-  | None -> 0
-  | Some x when x < Array.length t.text -> 1
-  | Some x ->
-    let lo, hi = slice_of t x in
-    hi - lo
+  let suffixes, po_depth, po_lo, po_hi = lower b ~child_off ~children in
+  { text; n_nodes = b.n + b.n_int; suffixes; po_depth; po_lo; po_hi;
+    n_internal = b.n_int - 1 }
 
 (* ---- Repeats (paper section 2.1.2 / 2.2 step 3) ---------------------- *)
 
 type repeat = {
   length : int;      (** number of elements in the repeated sequence *)
-  positions : int list;  (** sorted start positions (may overlap) *)
+  positions : int array;  (** sorted start positions (may overlap) *)
 }
 
 (* Fold over every right-maximal repeated substring: each internal node
@@ -530,31 +442,32 @@ let fold_repeats ?(min_length = 1) ?(max_length = max_int) t ~init ~f =
       if hi - lo >= 2 then begin
         let positions = Array.sub t.suffixes lo (hi - lo) in
         Array.sort compare_int positions;
-        acc := f !acc { length = depth; positions = Array.to_list positions }
+        acc := f !acc { length = depth; positions }
       end
     end
   done;
   !acc
 
-let repeats ?min_length ?max_length t =
-  fold_repeats ?min_length ?max_length t ~init:[] ~f:(fun acc r -> r :: acc)
-
-(* Drop overlapping occurrences, keeping the leftmost of each overlapping
-   cluster (paper section 2.1.2: "a small modification should be applied to
-   selectively skip such ones"). Positions must be sorted ascending. *)
-let non_overlapping ~length positions =
-  let rec go last acc = function
-    | [] -> List.rev acc
-    | p :: rest ->
-      if p >= last then go (p + length) (p :: acc) rest else go last acc rest
+(* The paper's "small modification" (section 2.1.2: "a small
+   modification should be applied to selectively skip such ones") keeps
+   the leftmost of each cluster of self-overlapping occurrences; the
+   claim filter then drops those that overlap an earlier selection. The
+   overlap walk sees every position: an occurrence it keeps ends its run
+   even when the claim map then drops it. *)
+let select ~claimed ~length positions =
+  let out = Array.make (Array.length positions) 0 in
+  let k = ref 0 and run_end = ref min_int in
+  let rec unclaimed p i =
+    i = length || (Bytes.get claimed (p + i) = '\000' && unclaimed p (i + 1))
   in
-  go min_int [] positions
-
-(* ---- Statistics ------------------------------------------------------ *)
-
-type stats = { nodes : int; internal : int; leaves : int; max_depth : int }
-
-(* The deepest node is always leaf 0, the whole text. *)
-let stats t =
-  { nodes = t.n_nodes; internal = t.n_internal;
-    leaves = Array.length t.suffixes; max_depth = Array.length t.text }
+  Array.iter
+    (fun p ->
+      if p >= !run_end then begin
+        run_end := p + length;
+        if unclaimed p 0 then begin
+          out.(!k) <- p;
+          incr k
+        end
+      end)
+    positions;
+  Array.sub out 0 !k

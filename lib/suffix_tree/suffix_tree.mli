@@ -8,8 +8,8 @@
     requires.
 
     The tree is flat [int] arrays: construction uses one open-addressed
-    edge table for the whole build, and the built tree keeps only a CSR
-    child list and post-order arrays. {!fold_repeats} yields repeats in a
+    edge table for the whole build, and the built tree keeps only the
+    text and post-order arrays. {!fold_repeats} yields repeats in a
     fixed order that downstream tie-breaking (and so the OAT bytes)
     depends on: a post-order DFS that takes each node's children in the
     order an unseeded per-node [Hashtbl] would fold them (see the header
@@ -33,21 +33,12 @@ val input_length : t -> int
 (** Length of the original input. *)
 
 val node_count : t -> int
-
-val contains : t -> int array -> bool
-(** Substring query. Each node the pattern passes through has its
-    children scanned one by one, so it costs O(pattern length x fan-out);
-    the root has one child per distinct symbol, one per separator. The
-    same walk underlies {!occurrences} and {!count_occurrences}. *)
-
-val occurrences : t -> int array -> int list
-(** All start positions of the pattern, sorted ascending. *)
-
-val count_occurrences : t -> int array -> int
+(** Leaves (one per suffix, the terminal's included) plus internal
+    nodes, the root included. *)
 
 type repeat = {
   length : int;  (** number of elements in the repeated sequence *)
-  positions : int list;  (** sorted start positions; may overlap *)
+  positions : int array;  (** sorted start positions; may overlap *)
 }
 
 val fold_repeats :
@@ -62,13 +53,14 @@ val fold_repeats :
     the node's string depth (paper section 2.1.2). Nodes come in the
     post-order described above; the order is part of the contract. *)
 
-val repeats : ?min_length:int -> ?max_length:int -> t -> repeat list
-
-val non_overlapping : length:int -> int list -> int list
-(** Greedy left-to-right filter dropping occurrences that overlap an
-    already-kept one (the paper's "small modification" for overlapping
-    repeats like "ana" in "banana"). Positions must be sorted. *)
-
-type stats = { nodes : int; internal : int; leaves : int; max_depth : int }
-
-val stats : t -> stats
+val select : claimed:Bytes.t -> length:int -> int array -> int array
+(** [select ~claimed ~length positions] picks the occurrences of a
+    repeat of [length] elements that one selection may replace. Walking
+    the sorted [positions] left to right, an occurrence that overlaps the
+    last one the walk kept is dropped (the paper's "small modification"
+    for self-overlapping repeats like "ana" in "banana"). A kept
+    occurrence is returned unless one of [claimed]'s bytes [p] ..
+    [p + length - 1] is non-zero; [claimed] has one byte per sequence
+    position, set where an earlier selection replaced code. A claimed
+    occurrence still ends its run: the overlap walk sees every
+    position. *)

@@ -847,6 +847,28 @@ let fault_tests =
            Alcotest.fail "unexpected non-build response"
          | Error m -> Alcotest.fail m);
         assert_still_serving t);
+    Alcotest.test_case "an oversized frame is answered Build_failed" `Quick
+      (fun () ->
+        with_server @@ fun t ->
+        List.iter
+          (fun regs ->
+            let dexsim =
+              Printf.sprintf
+                ".apk t\n.dex d\n.class t\n\
+                 .method f params #1 regs #%d entry\n  return v0\n.end\n"
+                regs
+            in
+            match Client.request ~endpoint:(Server.endpoint t) (request dexsim) with
+            | Ok (Protocol.Rejected (Protocol.Build_failed m)) ->
+              Alcotest.(check bool) m true
+                (Astring.String.is_infix ~affix:"exceeds 508" m)
+            | Ok (Protocol.Rejected r) ->
+              Alcotest.failf "regs #%d: expected Build_failed, got %s" regs
+                (Protocol.rejection_to_string r)
+            | Ok _ -> Alcotest.failf "regs #%d was not rejected" regs
+            | Error m -> Alcotest.fail m)
+          [ 509; 100_000_000 ];
+        assert_still_serving t);
     Alcotest.test_case "garbage bytes get a typed Malformed answer" `Quick
       (fun () ->
         with_server @@ fun t ->

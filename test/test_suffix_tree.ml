@@ -1,22 +1,14 @@
 (* Suffix tree tests: the banana example from the paper's Figure 1, plus
-   randomized differential tests against naive O(n^2)/O(n^3) references. *)
+   randomized differential tests against naive references. *)
 
 open Calibro_suffix_tree
 
 let of_string s = Array.init (String.length s) (fun i -> Char.code s.[i])
 
-(* Naive reference: all start positions of [pat] in [text]. *)
-let naive_occurrences text pat =
-  let n = Array.length text and m = Array.length pat in
-  let hits = ref [] in
-  for i = n - m downto 0 do
-    let ok = ref true in
-    for j = 0 to m - 1 do
-      if text.(i + j) <> pat.(j) then ok := false
-    done;
-    if !ok && m > 0 then hits := i :: !hits
-  done;
-  !hits
+(* Every repeat [fold_repeats] emits, as (length, sorted positions). *)
+let repeats ?min_length ?max_length t =
+  Suffix_tree.fold_repeats ?min_length ?max_length t ~init:[] ~f:(fun acc r ->
+      (r.Suffix_tree.length, Array.to_list r.Suffix_tree.positions) :: acc)
 
 (* Naive reference: every right-maximal repeated substring as
    (length, sorted positions). A substring s is right-maximal iff it occurs
@@ -56,41 +48,39 @@ let naive_repeats text =
       else acc)
     !subs []
 
+(* The positions of the repeat that spells [pat]. *)
+let positions_of text pat =
+  let m = Array.length pat in
+  List.assoc pat
+    (List.map
+       (fun (len, ps) -> (Array.sub text (List.hd ps) len, ps))
+       (repeats ~min_length:m ~max_length:m (Suffix_tree.build text)))
+
 let banana = of_string "banana"
 
 let banana_tests =
   [ Alcotest.test_case "banana: occurrences of 'na'" `Quick (fun () ->
-        let t = Suffix_tree.build banana in
         Alcotest.(check (list int)) "na" [ 2; 4 ]
-          (Suffix_tree.occurrences t (of_string "na")));
+          (positions_of banana (of_string "na")));
     Alcotest.test_case "banana: occurrences of 'ana' overlap" `Quick (fun () ->
-        let t = Suffix_tree.build banana in
         Alcotest.(check (list int)) "ana" [ 1; 3 ]
-          (Suffix_tree.occurrences t (of_string "ana")));
+          (positions_of banana (of_string "ana")));
     Alcotest.test_case "banana: non-overlapping selection" `Quick (fun () ->
         (* Figure 1 discussion: "ana" occurs twice but overlaps; after the
-           overlap filter only one occurrence survives. *)
-        Alcotest.(check (list int)) "ana" [ 1 ]
-          (Suffix_tree.non_overlapping ~length:3 [ 1; 3 ]);
-        Alcotest.(check (list int)) "na" [ 2; 4 ]
-          (Suffix_tree.non_overlapping ~length:2 [ 2; 4 ]));
-    Alcotest.test_case "banana: contains" `Quick (fun () ->
-        let t = Suffix_tree.build banana in
-        Alcotest.(check bool) "banana" true (Suffix_tree.contains t banana);
-        Alcotest.(check bool) "anan" true
-          (Suffix_tree.contains t (of_string "anan"));
-        Alcotest.(check bool) "nab" false
-          (Suffix_tree.contains t (of_string "nab"));
-        Alcotest.(check bool) "empty" true (Suffix_tree.contains t [||]));
+           overlap filter only one occurrence survives. Once it is
+           claimed, the "na" inside it is no longer free. *)
+        let claimed = Bytes.make (Array.length banana) '\000' in
+        let select length ps = Array.to_list (Suffix_tree.select ~claimed ~length ps) in
+        Alcotest.(check (list int)) "ana" [ 1 ] (select 3 [| 1; 3 |]);
+        Alcotest.(check (list int)) "na" [ 2; 4 ] (select 2 [| 2; 4 |]);
+        Bytes.fill claimed 1 3 '\001';
+        Alcotest.(check (list int)) "na after ana" [ 4 ] (select 2 [| 2; 4 |]));
     Alcotest.test_case "banana: repeats match figure 1" `Quick (fun () ->
         let t = Suffix_tree.build banana in
         let rs =
-          Suffix_tree.repeats t
-          |> List.map (fun r ->
-                 ( Array.to_list
-                     (Array.sub banana (List.hd r.Suffix_tree.positions)
-                        r.Suffix_tree.length),
-                   r.Suffix_tree.positions ))
+          repeats t
+          |> List.map (fun (len, ps) ->
+                 (Array.to_list (Array.sub banana (List.hd ps) len), ps))
           |> List.sort compare
         in
         (* Internal nodes of the banana tree: "a" (3 leaves), "ana" (2),
@@ -109,9 +99,9 @@ let banana_tests =
           expect rs);
     Alcotest.test_case "leaf count equals n+1" `Quick (fun () ->
         let t = Suffix_tree.build banana in
-        let s = Suffix_tree.stats t in
-        (* "banana$" has 7 suffixes, hence 7 leaves. *)
-        Alcotest.(check int) "leaves" 7 s.Suffix_tree.leaves);
+        (* "banana$" has 7 suffixes, hence 7 leaves, under the root and
+           the internal nodes "a", "ana" and "na". *)
+        Alcotest.(check int) "nodes" (7 + 4) (Suffix_tree.node_count t));
     Alcotest.test_case "rejects reserved terminal" `Quick (fun () ->
         match Suffix_tree.build [| 1; Suffix_tree.terminal; 2 |] with
         | exception Invalid_argument _ -> ()
@@ -119,8 +109,7 @@ let banana_tests =
     Alcotest.test_case "empty input" `Quick (fun () ->
         let t = Suffix_tree.build [||] in
         Alcotest.(check int) "len" 0 (Suffix_tree.input_length t);
-        Alcotest.(check (list int)) "no repeats" []
-          (Suffix_tree.repeats t |> List.map (fun r -> r.Suffix_tree.length)));
+        Alcotest.(check (list int)) "no repeats" [] (List.map fst (repeats t)));
     Alcotest.test_case "separators never repeat" `Quick (fun () ->
         (* Two identical blocks joined by unique separators: repeats must
            never span a separator (they are unique), so the longest repeat
@@ -128,11 +117,7 @@ let banana_tests =
         let block = [| 7; 8; 9; 7; 8 |] in
         let input = Array.concat [ block; [| -1 |]; block; [| -2 |]; block ] in
         let t = Suffix_tree.build input in
-        let max_len =
-          List.fold_left
-            (fun m r -> max m r.Suffix_tree.length)
-            0 (Suffix_tree.repeats t)
-        in
+        let max_len = List.fold_left (fun m (len, _) -> max m len) 0 (repeats t) in
         Alcotest.(check int) "max repeat length" 5 max_len)
   ]
 
@@ -148,62 +133,40 @@ let arb_small_array =
   QCheck.make gen_small_array ~print:(fun a ->
       String.concat ";" (Array.to_list a |> List.map string_of_int))
 
-let occurrences_match_naive =
-  QCheck.Test.make ~name:"occurrences match naive search" ~count:300
-    QCheck.(
-      pair arb_small_array
-        (make
-           Gen.(
-             let* n = int_range 1 4 in
-             array_size (return n) (int_range 0 4))))
-    (fun (text, pat) ->
-      let t = Suffix_tree.build text in
-      Suffix_tree.occurrences t pat = naive_occurrences text pat)
-
 let repeats_match_naive =
   QCheck.Test.make ~name:"repeats match naive right-maximal enumeration"
     ~count:200 arb_small_array (fun text ->
-      let t = Suffix_tree.build text in
-      let got =
-        Suffix_tree.repeats t
-        |> List.map (fun r -> (r.Suffix_tree.length, r.Suffix_tree.positions))
-        |> List.sort compare
-      in
+      let got = repeats (Suffix_tree.build text) |> List.sort compare in
       let want = naive_repeats text |> List.sort compare in
       got = want)
 
-let all_suffixes_present =
-  QCheck.Test.make ~name:"every suffix reachable" ~count:200 arb_small_array
-    (fun text ->
-      let t = Suffix_tree.build text in
-      let n = Array.length text in
-      let ok = ref true in
-      for i = 0 to n - 1 do
-        if not (Suffix_tree.contains t (Array.sub text i (n - i))) then
-          ok := false
-      done;
-      !ok)
+(* [select]'s two steps as separate passes: the overlap walk over every
+   position, then the claim filter over what it kept. Filtering claimed
+   positions first would let a claimed occurrence stop ending its run. *)
+let reference_select ~claimed ~length positions =
+  let rec walk run_end = function
+    | [] -> []
+    | p :: rest ->
+      if p >= run_end then p :: walk (p + length) rest else walk run_end rest
+  in
+  let free p =
+    List.for_all (fun i -> Bytes.get claimed (p + i) = '\000')
+      (List.init length Fun.id)
+  in
+  List.filter free (walk min_int (Array.to_list positions))
 
-let non_overlap_props =
-  QCheck.Test.make ~name:"non_overlapping output has no overlaps" ~count:300
+let select_matches_reference =
+  QCheck.Test.make ~name:"select: overlap walk, then claims" ~count:500
     QCheck.(
-      pair (int_range 1 5)
-        (make Gen.(list_size (int_range 0 20) (int_range 0 50))))
-    (fun (len, positions) ->
-      let sorted = List.sort_uniq compare positions in
-      let chosen = Suffix_tree.non_overlapping ~length:len sorted in
-      (* no two chosen positions overlap, and every dropped one overlaps a
-         chosen one *)
-      let rec no_overlap = function
-        | a :: (b :: _ as rest) -> b - a >= len && no_overlap rest
-        | _ -> true
-      in
-      no_overlap chosen
-      && List.for_all
-           (fun p ->
-             List.mem p chosen
-             || List.exists (fun c -> abs (p - c) < len) chosen)
-           sorted)
+      triple (int_range 1 5)
+        (make Gen.(list_size (int_range 0 20) (int_range 0 50)))
+        (make Gen.(string_size ~gen:(oneofl [ '\000'; '\000'; '\001' ])
+                     (return 56))))
+    (fun (length, positions, claimed) ->
+      let positions = Array.of_list (List.sort_uniq compare positions) in
+      let claimed = Bytes.of_string claimed in
+      Array.to_list (Suffix_tree.select ~claimed ~length positions)
+      = reference_select ~claimed ~length positions)
 
 (* ---- Child order pinned to the reference construction -------------- *)
 
@@ -323,10 +286,7 @@ module Reference = struct
     List.rev !out
 end
 
-let fold_order t =
-  Suffix_tree.fold_repeats t ~init:[] ~f:(fun acc r ->
-      (r.Suffix_tree.length, r.Suffix_tree.positions) :: acc)
-  |> List.rev
+let fold_order t = List.rev (repeats t)
 
 let print_input a =
   String.concat ";" (Array.to_list a |> List.map string_of_int)
@@ -484,6 +444,4 @@ let mapping_tests =
 let suite =
   banana_tests @ mapping_tests
   @ List.map (QCheck_alcotest.to_alcotest ~long:false)
-      ([ occurrences_match_naive; repeats_match_naive; all_suffixes_present;
-         non_overlap_props ]
-       @ order_tests)
+      ([ repeats_match_naive; select_matches_reference ] @ order_tests)
