@@ -23,6 +23,8 @@ let usage () =
     \  all (default)    every table, figure, ablation and micro-benchmark\n\
     \  table1..table7, fig2..fig6, stats, ablation, bechamel, crosscheck\n\
     \  detect           detection-throughput microbenchmark (largest app)\n\
+    \  parse            cold vs memoized .dexsim parse of one Kuaishou\n\
+    \                   mutant; exit 1 if the two parses differ\n\
     \  incr             cold vs warm incremental rebuild after a one-method\n\
     \                   edit (largest app); exit 1 if warm bytes differ\n\
     \  serve            concurrent served-build throughput through the\n\
@@ -117,6 +119,7 @@ let () =
    | "crosscheck" -> Harness.crosscheck ()
    | "digest" -> Harness.digests ()
    | "detect" -> Harness.detect_bench ()
+   | "parse" -> check (Harness.parse_bench ())
    | "incr" ->
      bench "incr: incremental rebuild after a one-method edit (Kuaishou)"
        Harness.incr_measure Harness.incr_report Harness.incr_failures

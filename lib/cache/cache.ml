@@ -58,6 +58,7 @@ type t = {
   lock : Mutex.t;
   methods : method_entry tier;
   json : Json.t tier;  (* keys are "<ns>:<key>" *)
+  bodies : (Dex.meth * int) tier;  (* memory only *)
 }
 
 (* Orphan "*.json.tmp.<pid>.<domain>" files are the residue of a writer
@@ -96,7 +97,8 @@ let create ?dir ?(max_entries = 65536) () =
     max_entries = max 1 max_entries;
     lock = Mutex.create ();
     methods = new_tier ();
-    json = new_tier () }
+    json = new_tier ();
+    bodies = new_tier () }
 
 let dir t = t.dir
 
@@ -119,7 +121,8 @@ let tier_put t ~ns tier k v =
 
 let mem_entries t =
   with_lock t (fun () ->
-      Hashtbl.length t.methods.table + Hashtbl.length t.json.table)
+      Hashtbl.length t.methods.table + Hashtbl.length t.json.table
+      + Hashtbl.length t.bodies.table)
 
 (* ---- Compiled-method codec --------------------------------------------- *)
 
@@ -421,6 +424,20 @@ let add_json t ~ns k v =
   counter ns "stores";
   tier_put t ~ns t.json (json_key ~ns k) v;
   disk_write t ~ns k v
+
+(* Parsed bodies are cheaper to re-parse than to read back from disk, so
+   this tier never leaves memory. *)
+let body_memo t =
+  { Calibro_dex.Dex_text.find =
+      (fun k ->
+        let v = tier_find t t.bodies k in
+        Obs.Counter.incr
+          (if Option.is_some v then "cache.body.hits" else "cache.body.misses");
+        v);
+    add =
+      (fun k v ->
+        Obs.Counter.incr "cache.body.stores";
+        tier_put t ~ns:"body" t.bodies k v) }
 
 let entry_files t =
   match t.dir with

@@ -1,16 +1,19 @@
 (** Content-addressed compilation cache (ShareJIT-style, see PAPERS.md).
 
-    Two tiers share one store:
+    Three tiers share one store:
 
     - a typed {b method} tier holding per-method compiled artifacts
       ({!Calibro_codegen.Compiled_method.t} plus the method's canonical
       LTBO token digest, computed once at store time);
     - a generic namespaced {b JSON} tier for any other deterministic
       intermediate (the pipeline memoizes per-group LTBO detection results
-      there).
+      there);
+    - a memory-only {b body} tier of parsed method bodies, which
+      {!Calibro_dex.Dex_text.parse} consults through {!body_memo}.
 
-    Both tiers live in memory (FIFO eviction past [max_entries]) and,
-    when [dir] is given, additionally on disk as one JSON file per entry
+    Each tier lives in memory (FIFO eviction past [max_entries]); the
+    method and JSON tiers, when [dir] is given, also live on disk as one
+    JSON file per entry
     serialized with the lib/obs codec. Every disk entry embeds a
     {!Calibro_chash.Chash} digest of its payload; a truncated, bit-flipped or otherwise unreadable entry is
     detected on load, counted in [cache.<ns>.disk_corrupt] and treated as
@@ -73,6 +76,18 @@ val find_json : t -> ns:string -> string -> Calibro_obs.Json.t option
 
 val add_json : t -> ns:string -> string -> Calibro_obs.Json.t -> unit
 
+(** {2 Parsed-body tier} *)
+
+val body_memo : t -> Calibro_dex.Dex_text.memo
+(** The memo {!Calibro_dex.Dex_text.parse} reads and fills: a parsed
+    method and its line count under the parser's key (the digest of the
+    method's source bytes, then its class name). The parser only stores
+    a body whose parse consumed exactly the bytes the key digests, so
+    [parse ~memo:(body_memo t) text = parse text] for every text. The
+    tier holds at most [max_entries] bodies, evicting the oldest first,
+    and is never written to disk. Counters: [cache.body.hits],
+    [.misses], [.stores], [.evictions]. *)
+
 (** {2 Introspection (tests, fault injection)} *)
 
 val entry_files : t -> string list
@@ -80,4 +95,4 @@ val entry_files : t -> string list
     cache. The corruption tests hand these to {!Calibro_check.Fault}. *)
 
 val mem_entries : t -> int
-(** Total in-memory entries across both tiers. *)
+(** Total in-memory entries across all three tiers. *)

@@ -2,6 +2,7 @@ type t = string
 
 let string = Digest.string
 let bytes = Digest.bytes
+let substring = Digest.substring
 
 type state = Buffer.t
 

@@ -13,6 +13,10 @@ type t = string
 val string : string -> t
 val bytes : bytes -> t
 
+val substring : string -> int -> int -> t
+(** [substring s pos len] is [string (String.sub s pos len)], without
+    the copy. *)
+
 (** {2 Streaming}: the digest of the concatenation of everything fed. *)
 
 type state

@@ -41,6 +41,11 @@ let push v x =
   v.a.(v.n) <- x;
   v.n <- v.n + 1
 
+type memo = {
+  find : string -> (meth * int) option;
+  add : string -> meth * int -> unit;
+}
+
 type state = {
   src : string;
   len : int;
@@ -394,7 +399,63 @@ let parse_method s name =
   resolve_labels s insns;
   { name; num_params; num_vregs; is_native; is_entry; insns }
 
-let parse_apk s =
+(* ---- Body memo -------------------------------------------------------
+
+   A body is the text from just after a ".method" to the end of the
+   first ".end" word after it that starts at a token boundary. The scan
+   only proposes that span: a body is stored only when its parse
+   consumed exactly the span, and a parse reads nothing past its ".end"
+   but the next byte, which the scan also requires to end the word. So
+   the span's bytes and class alone decide the method and the newlines
+   the parse counted, whatever surrounds them, and a hit can stand in
+   for the parse. A ".end" inside a string or comment only costs a miss. *)
+
+(* Horspool's search for ".end" from [i] ([i] > 0): the byte under the
+   pattern's last position says how far the pattern may move. *)
+let rec body_end s i =
+  if i + 3 >= s.len then -1
+  else
+    match s.src.[i + 3] with
+    | 'd' ->
+      if
+        s.src.[i] = '.' && s.src.[i + 1] = 'e' && s.src.[i + 2] = 'n'
+        && (i + 4 = s.len || not (is_ident_char s.src.[i + 4]))
+        && not (is_ident_char s.src.[i - 1])
+      then i + 4
+      else body_end s (i + 4)
+    | 'n' -> body_end s (i + 1)
+    | 'e' -> body_end s (i + 2)
+    | '.' -> body_end s (i + 3)
+    | _ -> body_end s (i + 4)
+
+(* The method after a ".method" just consumed. *)
+let named_method s cls_name =
+  let method_name = expect_ident s in
+  parse_method s { class_name = cls_name; method_name }
+
+(* The same, from [memo] when it holds the body; [scanned] counts the
+   bodies looked up. *)
+let method_body memo scanned s cls_name =
+  let start = s.pos and line0 = s.line in
+  match body_end s start with
+  | -1 -> named_method s cls_name
+  | stop -> (
+    incr scanned;
+    let key =
+      Calibro_chash.Chash.substring s.src start (stop - start) ^ cls_name
+    in
+    match memo.find key with
+    | Some (m, lines) ->
+      s.pos <- stop;
+      s.line <- line0 + lines;
+      s.last_line <- s.line;
+      m
+    | None ->
+      let m = named_method s cls_name in
+      if s.pos = stop then memo.add key (m, s.line - line0);
+      m)
+
+let parse_apk s method_of =
   keyword s ".apk";
   let apk_name = expect_ident s in
   let dexes = ref [] in
@@ -405,8 +466,7 @@ let parse_apk s =
       let cls_name = expect_ident s in
       let methods = ref [] in
       while accept_word s ".method" do
-        let method_name = expect_ident s in
-        methods := parse_method s { class_name = cls_name; method_name } :: !methods
+        methods := method_of s cls_name :: !methods
       done;
       classes := { cls_name; cls_methods = List.rev !methods } :: !classes
     done;
@@ -414,16 +474,25 @@ let parse_apk s =
   done;
   { apk_name; dexes = List.rev !dexes }
 
-let parse source =
+let run source method_of =
   let s =
     { src = source; len = String.length source; pos = 0; line = 1;
       last_line = 1; insns = { a = [||]; n = 0 }; labels = Hashtbl.create 16;
       refs = { a = [||]; n = 0 } }
   in
-  match parse_apk s with
+  match parse_apk s method_of with
   | apk -> Ok apk
   | exception Parse_error { line; message } ->
     Error (Printf.sprintf "line %d: %s" line message)
+
+let parse ?memo source =
+  match memo with
+  | None -> run source named_method
+  | Some memo ->
+    let scanned = ref 0 in
+    let result = run source (method_body memo scanned) in
+    Calibro_obs.Obs.Counter.add "dex.bodies_scanned" !scanned;
+    result
 
 (* ---- Printer ---------------------------------------------------------
 

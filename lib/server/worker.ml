@@ -94,8 +94,11 @@ let build ~cache ?dict (rq : Protocol.build_request) :
           (Protocol.Dict_mismatch
              { dm_want = Some want; dm_have = Option.map digest have })
     in
+    (* A warm cache also holds the bodies earlier requests parsed: a
+       body seen before is digested, not parsed again. *)
+    let memo = Option.map Calibro_cache.Cache.body_memo cache in
     let* apk =
-      parse_error "" (Calibro_dex.Dex_text.parse rq.Protocol.rq_dexsim)
+      parse_error "" (Calibro_dex.Dex_text.parse ?memo rq.Protocol.rq_dexsim)
     in
     let* profile =
       match rq.Protocol.rq_profile with

@@ -77,7 +77,9 @@ val build_oat :
   cache:Calibro_cache.Cache.t option -> ?dict:Calibro_oat.Linker.dict ->
   Protocol.build_request ->
   (Calibro_oat.Oat_file.t * Protocol.build_stats, Protocol.rejection) result
-(** The job body without the socket: parse, build, summarize.
+(** The job body without the socket: parse, build, summarize. With a
+    [cache], the parse reads and fills its body tier
+    ({!Calibro_cache.Cache.body_memo}), which changes no answer.
 
     [dict] is the dictionary this daemon serves. A request with
     [rq_dict = None] builds self-contained regardless; [Some want] must

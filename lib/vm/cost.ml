@@ -39,11 +39,13 @@ type t = {
   mutable cycles : int;
   mutable instructions : int;
   lines : (int, unit) Hashtbl.t;  (** i-cache lines ever touched *)
+  mutable last_line : int;  (** the line of the last fetch, or [min_int] *)
   mutable per_region : int array;  (** cycles attributed per text region *)
 }
 
 let create ?(params = default) ~n_regions () =
   { params; cycles = 0; instructions = 0; lines = Hashtbl.create 1024;
+    last_line = min_int;
     per_region = Array.make (max 1 n_regions) 0 }
 
 let charge t ~region c =
@@ -73,8 +75,10 @@ let instr_cost p instr ~taken =
 let on_fetch t ~region ~pc instr ~taken =
   t.instructions <- t.instructions + 1;
   let line = pc / t.params.icache_line in
-  let miss = not (Hashtbl.mem t.lines line) in
+  (* lines are never dropped: a fetch from the last line cannot miss *)
+  let miss = line <> t.last_line && not (Hashtbl.mem t.lines line) in
   if miss then Hashtbl.replace t.lines line ();
+  t.last_line <- line;
   charge t ~region
     (instr_cost t.params instr ~taken + if miss then t.params.icache_miss else 0)
 

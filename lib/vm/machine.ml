@@ -18,8 +18,11 @@ type t = {
   mutable flag_c : bool;
   mutable flag_v : bool;
   pages : (int, Bytes.t) Hashtbl.t;
+  mutable last_page_idx : int;  (** [last_page]'s index, or [min_int] *)
+  mutable last_page : Bytes.t;
   mutable touched_exec_pages : (int, unit) Hashtbl.t;
       (** pages touched by instruction fetch (code residency) *)
+  mutable last_exec_idx : int;  (** the page last added there *)
   mutable heap_next : int;   (** bump allocator cursor *)
   mutable log : int list;    (** output of pLogValue, reversed *)
 }
@@ -30,7 +33,10 @@ let create () =
     pc = 0;
     flag_n = false; flag_z = false; flag_c = false; flag_v = false;
     pages = Hashtbl.create 64;
+    last_page_idx = min_int;
+    last_page = Bytes.empty;
     touched_exec_pages = Hashtbl.create 64;
+    last_exec_idx = min_int;
     heap_next = Calibro_codegen.Abi.heap_base;
     log = [] }
 
@@ -43,14 +49,24 @@ let set_reg_sp m r v = if r = 31 then m.sp <- v else m.regs.(r) <- v
 
 (* ---- Memory ------------------------------------------------------------ *)
 
+(* Pages are never dropped, so the page of the last access can be
+   reused without a lookup; the same holds for executed pages below. *)
 let page m addr =
   let idx = addr lsr page_bits in
-  match Hashtbl.find_opt m.pages idx with
-  | Some p -> p
-  | None ->
-    let p = Bytes.make page_size '\000' in
-    Hashtbl.replace m.pages idx p;
+  if idx = m.last_page_idx then m.last_page
+  else begin
+    let p =
+      match Hashtbl.find_opt m.pages idx with
+      | Some p -> p
+      | None ->
+        let p = Bytes.make page_size '\000' in
+        Hashtbl.replace m.pages idx p;
+        p
+    in
+    m.last_page_idx <- idx;
+    m.last_page <- p;
     p
+  end
 
 let read_u8 m addr = Bytes.get_uint8 (page m addr) (addr land (page_size - 1))
 
@@ -99,7 +115,11 @@ let read_string m addr =
   String.init len (fun i -> Char.chr (read_u8 m (addr + 4 + i)))
 
 let touch_exec m addr =
-  Hashtbl.replace m.touched_exec_pages (addr lsr page_bits) ()
+  let idx = addr lsr page_bits in
+  if idx <> m.last_exec_idx then begin
+    Hashtbl.replace m.touched_exec_pages idx ();
+    m.last_exec_idx <- idx
+  end
 
 let touched_exec_page_count m = Hashtbl.length m.touched_exec_pages
 

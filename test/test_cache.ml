@@ -407,6 +407,72 @@ let concurrent_tests =
           true
           (hits > 0)) ]
 
+(* ---- The parsed-body tier --------------------------------------------- *)
+
+module Dex_text = Calibro_dex.Dex_text
+module Protocol = Calibro_server.Protocol
+
+let body_tests =
+  [ Alcotest.test_case "body tier: counted, bounded, memory only" `Quick
+      (fun () ->
+        with_tmpdir (fun dir ->
+            let apk = demo () in
+            let text = Dex_text.to_string apk in
+            let n = Dex_ir.method_count apk in
+            let count what = counter ("cache.body." ^ what) in
+            let scanned () = counter "dex.bodies_scanned" in
+            let h0 = count "hits" and m0 = count "misses"
+            and s0 = count "stores" and e0 = count "evictions"
+            and sc0 = scanned () in
+            let small = Cache.create ~dir ~max_entries:4 () in
+            let memo = Cache.body_memo small in
+            for _ = 1 to 2 do
+              Alcotest.(check bool) "same apk" true
+                (Dex_text.parse ~memo text = Ok apk)
+            done;
+            (* a FIFO of 4 read in order from the front never hits *)
+            Alcotest.(check int) "misses" (2 * n) (count "misses" - m0);
+            Alcotest.(check int) "stores" (2 * n) (count "stores" - s0);
+            Alcotest.(check int) "evictions" ((2 * n) - 4)
+              (count "evictions" - e0);
+            Alcotest.(check int) "capped" 4 (Cache.mem_entries small);
+            Alcotest.(check (list string)) "nothing on disk" []
+              (Cache.entry_files small);
+            let memo = Cache.body_memo (Cache.create ()) in
+            ignore (Dex_text.parse ~memo text);
+            Alcotest.(check bool) "same apk, warm" true
+              (Dex_text.parse ~memo text = Ok apk);
+            Alcotest.(check int) "hits" n (count "hits" - h0);
+            Alcotest.(check int) "every scanned body is a hit or a miss"
+              (scanned () - sc0)
+              (count "hits" - h0 + count "misses" - m0)));
+    Alcotest.test_case "served parse errors read the same warm" `Quick
+      (fun () ->
+        let text = Dex_text.to_string (demo ()) in
+        (* a fault after the last method, whose line counts every body *)
+        let bad = text ^ "  bogus v0\n" in
+        let rq dexsim =
+          { Protocol.rq_config = Config.baseline; rq_dexsim = dexsim;
+            rq_profile = None; rq_deadline_ms = None; rq_dict = None;
+            rq_shelve = None }
+        in
+        let answer cache =
+          Calibro_server.Worker.build_response ~cache (rq bad)
+        in
+        let cold = answer None in
+        (match cold with
+         | Protocol.Rejected (Protocol.Parse_error m) ->
+           Alcotest.(check bool) ("a line-numbered answer: " ^ m) true
+             (String.length m > 5 && String.sub m 0 5 = "line ")
+         | _ -> Alcotest.fail "the malformed request was not refused");
+        let cache = Some (Cache.create ()) in
+        let h0 = counter "cache.body.hits" in
+        ignore (Calibro_server.Worker.build_response ~cache (rq text));
+        Alcotest.(check bool) "same answer warm" true (answer cache = cold);
+        Alcotest.(check int) "every body of the warm request hit"
+          (Dex_ir.method_count (demo ()))
+          (counter "cache.body.hits" - h0)) ]
+
 let suite =
   equivalence_tests @ disk_tests @ codec_tests @ mutate_tests
-  @ concurrent_tests
+  @ concurrent_tests @ body_tests

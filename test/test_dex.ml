@@ -366,3 +366,135 @@ let one_pass_tests =
         done) ]
 
 let suite = suite @ one_pass_tests
+
+(* ---- The body memo: parse ~memo t = parse t ---------------------------
+
+   A memo is filled by parsing a generated app and one of its release
+   mutants, then a text built from one of them, possibly corrupted, is
+   parsed with and without it. Each corruption aims at what a body's key
+   and scan could get wrong: a ".end" inside a string or a comment, a
+   ".endx", a changed header, the same body under another class, a cut
+   last method, and faults whose line numbers come after memo hits. *)
+
+let corruptions =
+  [| "none"; "string holding \\n.end"; "; .end comment"; ".endx";
+     "header change"; "body under another class"; "truncated last method";
+     "garbage between methods"; "bad line in a method"; "byte flip" |]
+
+let lines_of t = Array.of_list (String.split_on_char '\n' t)
+let text_of lines = String.concat "\n" (Array.to_list lines)
+
+let starts_with p l =
+  String.length l >= String.length p && String.sub l 0 (String.length p) = p
+
+let indices pred lines =
+  List.filter (fun i -> pred lines.(i)) (List.init (Array.length lines) Fun.id)
+
+let insert_after lines i l =
+  let n = Array.length lines in
+  Array.concat
+    [ Array.sub lines 0 (i + 1); [| l |]; Array.sub lines (i + 1) (n - i - 1) ]
+
+(* Header words with one count bumped or one attribute added or dropped. *)
+let change_header st words =
+  let bump w =
+    let n = int_of_string (String.sub w 1 (String.length w - 1)) in
+    "#" ^ string_of_int (n + 1)
+  in
+  let rec change = function
+    | "params" :: n :: rest when Random.State.int st 4 = 0 ->
+      "params" :: bump n :: rest
+    | "regs" :: n :: rest when Random.State.int st 3 = 0 ->
+      "regs" :: bump n :: rest
+    | w :: rest -> w :: change rest
+    | [] -> [ (if Random.State.bool st then "native" else "entry") ]
+  in
+  if List.mem "entry" words && Random.State.bool st then
+    List.filter (( <> ) "entry") words
+  else change words
+
+let corrupt st kind t =
+  let lines = lines_of t in
+  let pick l = List.nth l (Random.State.int st (List.length l)) in
+  let headers = indices (starts_with ".method ") lines in
+  let ends = indices (fun l -> l = ".end") lines in
+  let replace i l = lines.(i) <- l; text_of lines in
+  match kind with
+  | 1 ->
+    text_of (insert_after lines (pick headers) "    string v0, \"a\n.end\nb\"")
+  | 2 -> text_of (insert_after lines (pick headers) "    ; .end")
+  | 3 -> replace (pick ends) ".endx"
+  | 4 ->
+    let i = pick headers in
+    let words = String.split_on_char ' ' lines.(i) in
+    replace i (String.concat " " (change_header st words))
+  | 5 ->
+    let h = pick headers in
+    let e = List.find (fun e -> e > h) ends in
+    t ^ ".class zz.Copy\n" ^ text_of (Array.sub lines h (e - h + 1)) ^ "\n"
+  | 6 ->
+    let h = List.fold_left max 0 headers and e = List.fold_left max 0 ends in
+    let cut = h + Random.State.int st (e - h + 1) in
+    let prefix = String.length (text_of (Array.sub lines 0 cut)) in
+    let into = Random.State.int st (String.length lines.(cut) + 1) in
+    String.sub t 0 (prefix + into)
+  | 7 -> text_of (insert_after lines (pick ends) "  bogus v0")
+  | 8 -> replace (pick (indices (starts_with "    ") lines)) "    bogus v0"
+  | 9 ->
+    let b = Bytes.of_string t in
+    let i = Random.State.int st (Bytes.length b) in
+    Bytes.set b i "\n.;\"#:vx".[Random.State.int st 8];
+    Bytes.to_string b
+  | _ -> t
+
+let fuzz_apps = Array.init 6 (fun s -> lazy (Calibro_check.Fuzz.apk_of_seed s))
+
+(* A cache's body memo that also counts its hits. *)
+let counting_memo ~max_entries =
+  let memo =
+    Calibro_cache.Cache.body_memo (Calibro_cache.Cache.create ~max_entries ())
+  in
+  let hits = ref 0 in
+  let find k =
+    let v = memo.Dex_text.find k in
+    if v <> None then incr hits;
+    v
+  in
+  ({ memo with Dex_text.find }, hits)
+
+let memo_soundness =
+  QCheck.Test.make ~name:"parse ~memo t = parse t" ~count:400
+    QCheck.(
+      make
+        ~print:(fun (app, mseed, kind, seed, small) ->
+          Printf.sprintf "app %d, mutant %d, %s, seed %d, max_entries %s" app
+            mseed corruptions.(kind) seed (if small then "1" else "default"))
+        Gen.(
+          let* app = int_range 0 5 in
+          let* mseed = int_range 1 1000 in
+          let* kind = int_range 0 (Array.length corruptions - 1) in
+          let* seed = int_range 0 1_000_000 in
+          let* small = map (( = ) 0) (int_range 0 4) in
+          return (app, mseed, kind, seed, small)))
+    (fun (app, mseed, kind, seed, small) ->
+      let base = Lazy.force fuzz_apps.(app) in
+      let mutant = fst (Calibro_workload.Mutate.mutate ~seed:mseed base) in
+      let max_entries = if small then 1 else 65536 in
+      let memo, hits = counting_memo ~max_entries in
+      let fill a = ignore (Dex_text.parse ~memo (Dex_text.to_string a)) in
+      fill base;
+      fill mutant;
+      let st = Random.State.make [| seed |] in
+      let source = if seed mod 2 = 0 then base else mutant in
+      let t = corrupt st kind (Dex_text.to_string source) in
+      let want = Dex_text.parse t in
+      hits := 0;
+      let first = Dex_text.parse ~memo t in
+      let hit = !hits > 0 in
+      (* the second parse also hits what the first one stored *)
+      let second = Dex_text.parse ~memo t in
+      if kind = 0 && (not small) && not hit then
+        QCheck.Test.fail_report "a filled memo never hit on a valid text";
+      first = want && second = want)
+
+let suite = suite @ [ QCheck_alcotest.to_alcotest ~long:false memo_soundness ]

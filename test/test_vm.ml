@@ -356,3 +356,118 @@ let suite =
            | Interp.Returned 7 -> ()
            | o -> Alcotest.failf "unexpected %s" (outcome_str o)))
   ]
+
+(* ---- Last-page and last-line reuse ------------------------------------
+
+   [Machine.page], [Machine.touch_exec] and [Cost.on_fetch] reuse the page
+   or line of the previous access. Accesses that alternate between two
+   pages (and a word that straddles them) must read back what a plain
+   byte map holds, and cost what they cost before the reuse. *)
+
+let alternating_pages_tests =
+  [ Alcotest.test_case "memory: alternating pages, page-crossing words" `Quick
+      (fun () ->
+        let m = Machine.create () in
+        let bytes = Hashtbl.create 64 in
+        let byte a = Option.value ~default:0 (Hashtbl.find_opt bytes a) in
+        let write a v =
+          Machine.write64 m a v;
+          for b = 0 to 7 do
+            Hashtbl.replace bytes (a + b) ((v lsr (8 * b)) land 0xff)
+          done
+        in
+        let expect a =
+          let v = ref 0 in
+          for b = 7 downto 0 do v := (!v lsl 8) lor byte (a + b) done;
+          !v
+        in
+        let p = Machine.page_size and base = Abi.heap_base in
+        (* page 0, page 1, back and forth, then words across the seam *)
+        let addrs =
+          [ base + 8; base + p + 16; base + 24; base + p + 32; base + p - 3;
+            base + 8; base + p - 8; base + p; base + (2 * p) - 5; base + 40 ]
+        in
+        List.iteri
+          (fun i a ->
+            write a ((i + 1) * 0x10203040506);
+            List.iter
+              (fun a' ->
+                Alcotest.(check int) (Printf.sprintf "read64 %#x" a')
+                  (expect a') (Machine.read64 m a');
+                Alcotest.(check int) (Printf.sprintf "read32 %#x" a')
+                  (expect a' land 0xFFFFFFFF) (Machine.read32 m a'))
+              (List.filteri (fun j _ -> j <= i) addrs))
+          addrs;
+        Alcotest.(check int) "read32 across the seam"
+          (expect (base + p - 2) land 0xFFFFFFFF)
+          (Machine.read32 m (base + p - 2));
+        Alcotest.(check int) "data pages" 3
+          (Machine.touched_data_pages_in m ~lo:base ~hi:(base + (3 * p)));
+        List.iter (Machine.touch_exec m)
+          [ base; base + p; base + 4; base + p + 4; base + (2 * p) - 4; base ];
+        Alcotest.(check int) "exec pages" 2
+          (Machine.touched_exec_page_count m));
+    Alcotest.test_case "i-cache: alternating lines miss once each" `Quick
+      (fun () ->
+        let c = Cost.create ~n_regions:1 () in
+        let pcs = [ 0; 64; 0; 64; 4; 68; 60; 64; 128; 0; 0; 132 ] in
+        List.iter
+          (fun pc ->
+            Cost.on_fetch c ~region:0 ~pc Calibro_aarch64.Isa.Nop ~taken:false)
+          pcs;
+        let p = Cost.default in
+        Alcotest.(check int) "instructions" (List.length pcs)
+          c.Cost.instructions;
+        Alcotest.(check int) "cycles: one miss per distinct line"
+          ((List.length pcs * p.Cost.base) + (3 * p.Cost.icache_miss))
+          c.Cost.cycles);
+    Alcotest.test_case "arrays across pages: values and cycles" `Quick
+      (fun () ->
+        (* two 600-element halves 4,800 bytes apart: every aput and aget
+           switches page *)
+        let src =
+          header
+          ^ {|.method f params #0 regs #8 entry
+  const v0, #1200
+  rtcall pAllocArrayResolved (v0) -> v1
+  const v2, #0
+:fill
+  const v7, #600
+  if ge v2, v7, :sum
+  mul v3, v2, #3
+  aput v3, v1, v2
+  add v4, v2, #600
+  add v5, v3, #1
+  aput v5, v1, v4
+  add v2, v2, #1
+  goto :fill
+:sum
+  const v2, #0
+  const v6, #0
+:loop
+  if ge v2, v7, :done
+  aget v3, v1, v2
+  add v4, v2, #600
+  aget v5, v1, v4
+  add v6, v6, v3
+  add v6, v6, v5
+  add v2, v2, #1
+  goto :loop
+:done
+  return v6
+.end
+|}
+        in
+        let oat = compile_apk ~cto:true (parse src) in
+        let t = Interp.load oat in
+        (match Interp.call t { class_name = "t"; method_name = "f" } [] with
+         | Interp.Returned v ->
+           (* sum of 3i and 3i+1 over i < 600 *)
+           Alcotest.(check int) "value" ((6 * (599 * 600 / 2)) + 600) v
+         | o -> Alcotest.failf "unexpected %s" (outcome_str o));
+        (* as counted before the last-page and last-line reuse *)
+        Alcotest.(check int) "instructions" 41431
+          (Interp.instructions_retired t);
+        Alcotest.(check int) "cycles" 66148 (Interp.cycles t)) ]
+
+let suite = suite @ alternating_pages_tests
