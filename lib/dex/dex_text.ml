@@ -402,16 +402,22 @@ let parse_method s name =
 (* ---- Body memo -------------------------------------------------------
 
    A body is the text from just after a ".method" to the end of the
-   first ".end" word after it that starts at a token boundary. The scan
-   only proposes that span: a body is stored only when its parse
-   consumed exactly the span, and a parse reads nothing past its ".end"
-   but the next byte, which the scan also requires to end the word. So
-   the span's bytes and class alone decide the method and the newlines
-   the parse counted, whatever surrounds them, and a hit can stand in
-   for the parse. A ".end" inside a string or comment only costs a miss. *)
+   first ".end" after it that the next byte (or the end of the text)
+   ends as a word. The scan only proposes that span: a body is stored
+   only when its parse consumed exactly the span, and a parse reads
+   nothing past its ".end" but the next byte, which the scan also
+   requires to end the word. So the span's bytes and class alone decide
+   the method and the newlines the parse counted, whatever surrounds
+   them, and a hit can stand in for the parse. A ".end" inside a
+   string, a comment or a dotted name ("invoke a.B.end ...") only costs
+   a miss. The scan asks nothing of the byte
+   before a ".end": every ".end" the parser accepts (even one glued to
+   a literal, as in "#5.end") is followed by a non-identifier byte, so
+   the scan never runs past the parse's own ".end" and costs no more
+   than the parse. *)
 
-(* Horspool's search for ".end" from [i] ([i] > 0): the byte under the
-   pattern's last position says how far the pattern may move. *)
+(* Horspool's search for ".end" from [i]: the byte under the pattern's
+   last position says how far the pattern may move. *)
 let rec body_end s i =
   if i + 3 >= s.len then -1
   else
@@ -420,7 +426,6 @@ let rec body_end s i =
       if
         s.src.[i] = '.' && s.src.[i + 1] = 'e' && s.src.[i + 2] = 'n'
         && (i + 4 = s.len || not (is_ident_char s.src.[i + 4]))
-        && not (is_ident_char s.src.[i - 1])
       then i + 4
       else body_end s (i + 4)
     | 'n' -> body_end s (i + 1)

@@ -446,6 +446,40 @@ let body_tests =
             Alcotest.(check int) "every scanned body is a hit or a miss"
               (scanned () - sc0)
               (count "hits" - h0 + count "misses" - m0)));
+    Alcotest.test_case "bodies ending in a literal glued to .end hit warm"
+      `Quick (fun () ->
+        (* the parser takes "#5.end" as a literal and then .end, so the
+           scan must stop there too, or each body would miss and its scan
+           run on to the next method's .end *)
+        let n = 50 in
+        let text =
+          ".apk glued\n.dex classes01\n.class com.Glued\n"
+          ^ String.concat ""
+              (List.init n (fun k ->
+                   Printf.sprintf ".method m%d params #0 regs #1\n\
+                                  \  const v0, #%d.end\n" k k))
+        in
+        let bad = text ^ "  bogus v0\n" in
+        let cold = Dex_text.parse text and cold_bad = Dex_text.parse bad in
+        Alcotest.(check bool) "the glued text parses" true (Result.is_ok cold);
+        let count what = counter ("cache.body." ^ what) in
+        let scanned () = counter "dex.bodies_scanned" in
+        let memo = Cache.body_memo (Cache.create ()) in
+        let h0 = count "hits" and m0 = count "misses" and s0 = count "stores"
+        and sc0 = scanned () in
+        Alcotest.(check bool) "same apk, cold memo" true
+          (Dex_text.parse ~memo text = cold);
+        Alcotest.(check int) "every body stored" n (count "stores" - s0);
+        Alcotest.(check bool) "same apk, warm" true
+          (Dex_text.parse ~memo text = cold);
+        Alcotest.(check int) "every body hit warm" n (count "hits" - h0);
+        Alcotest.(check bool) "same error after hits" true
+          (Dex_text.parse ~memo bad = cold_bad);
+        Alcotest.(check int) "hits" (2 * n) (count "hits" - h0);
+        Alcotest.(check int) "misses" n (count "misses" - m0);
+        Alcotest.(check int) "every scanned body is a hit or a miss"
+          (scanned () - sc0)
+          (count "hits" - h0 + count "misses" - m0));
     Alcotest.test_case "served parse errors read the same warm" `Quick
       (fun () ->
         let text = Dex_text.to_string (demo ()) in
